@@ -498,7 +498,7 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
        | Some f -> f
        | None -> fun c -> Machine.charge machine c);
     Machine.attach machine
-      (Tool.make ~on_exec:(process t) (Fmt.str "dift-%s" D.name))
+      (Tool.make ~on_view:(process_view t) (Fmt.str "dift-%s" D.name))
 end
 
 module Make (D : Taint.DOMAIN) = Make_over (Shadow.Make) (D)

@@ -69,9 +69,10 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) : sig
       tool). *)
   val process : t -> Event.exec -> unit
 
-  (** The transfer function over a decoded {!Event.view} — what the
-      de-boxed forwarding plane calls per event; {!process} is this
-      plus a fill of a per-engine scratch view. *)
+  (** The transfer function over an {!Event.view} — what {!attach}
+      runs on the machine's view and the de-boxed forwarding plane on
+      each decoded event, allocating nothing; {!process} is this plus
+      a fill of a per-engine scratch view. *)
   val process_view : t -> Event.view -> unit
 
   (** Register the engine's statistics in an observability registry as

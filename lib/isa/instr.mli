@@ -91,6 +91,16 @@ val cmp_op_to_string : cmp_op -> string
     remainder by zero (a machine fault). *)
 val eval_alu : alu_op -> int -> int -> int option
 
+(** Does the operation fault on this second operand?  Division and
+    remainder by zero do. *)
+val alu_faults : alu_op -> int -> bool
+
+(** {!eval_alu} without the option, for operands on which the
+    operation does not fault (see {!alu_faults}); the interpreter's
+    allocation-free path.
+    @raise Division_by_zero when it does. *)
+val eval_alu_unchecked : alu_op -> int -> int -> int
+
 (** Evaluate a comparison: [1] when it holds, [0] otherwise. *)
 val eval_cmp : cmp_op -> int -> int -> int
 

@@ -18,6 +18,11 @@ let wire = function Boxed _ -> `Boxed | Coded _ -> `Coded
 let add t e =
   match t with Boxed f -> Forwarder.add f e | Coded c -> Codec.feed c e
 
+let add_view t v =
+  match t with
+  | Boxed f -> Forwarder.add f (Event.view_to_exec v)
+  | Coded c -> Codec.feed_view c v
+
 let flush = function Boxed f -> Forwarder.flush f | Coded c -> Codec.flush c
 let close = function Boxed f -> Forwarder.close f | Coded c -> Codec.close c
 let abort = function Boxed f -> Forwarder.abort f | Coded c -> Codec.abort c

@@ -49,6 +49,11 @@ val wire : t -> wire
 (** {1 Producer side} *)
 
 val add : t -> Event.exec -> unit
+
+(** [add] of the event a view describes, read during the call: the
+    coded wire encodes it in place, the boxed wire forwards
+    {!Dift_vm.Event.view_to_exec} of it. *)
+val add_view : t -> Event.view -> unit
 val flush : t -> unit
 val close : t -> unit
 

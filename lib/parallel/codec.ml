@@ -77,6 +77,7 @@ type encoder = {
   e_table : Site.table;
   mutable e_func : Func.t;  (** last function seen (physical equality) *)
   mutable e_base : int;  (** its first site id *)
+  e_scratch : Event.view;  (** boxed records are encoded through it *)
 }
 
 let encoder table =
@@ -85,6 +86,7 @@ let encoder table =
     e_table = table;
     e_func = r0.Site.s_func;
     e_base = Site.base table r0.Site.s_func.Func.name;
+    e_scratch = Event.view_create ~func:r0.Site.s_func ~instr:r0.Site.s_instr;
   }
 
 (* Site id of an event, or [-1] when the event is foreign to the
@@ -94,62 +96,68 @@ let encoder table =
    [Instr.t], so physical equality is the exact fidelity check, and in
    the steady state this is one add (the base lookup is cached on
    physical function identity; [min_int] caches an unknown name). *)
-let site_of enc (e : Event.exec) =
-  if e.Event.func != enc.e_func then begin
-    enc.e_func <- e.Event.func;
+let site_of enc (v : Event.view) =
+  if v.v_func != enc.e_func then begin
+    enc.e_func <- v.v_func;
     enc.e_base <-
-      (match Site.base_opt enc.e_table e.Event.func.Func.name with
+      (match Site.base_opt enc.e_table v.v_func.Func.name with
       | Some b -> b
       | None -> min_int)
   end;
-  if enc.e_base = min_int || e.Event.pc < 0 then -1
+  if enc.e_base = min_int || v.v_pc < 0 then -1
   else
-    let site = enc.e_base + e.Event.pc in
+    let site = enc.e_base + v.v_pc in
     if site >= Site.size enc.e_table then -1
     else
       let row = Site.row enc.e_table site in
-      if row.Site.s_func == e.Event.func && row.Site.s_instr == e.Event.instr
-      then site
+      if row.Site.s_func == v.v_func && row.Site.s_instr == v.v_instr then site
       else -1
+
+(* Walk the [j..n) prefix of a view's loc array against a row's static
+   offsets, carrying [base], the first location of the activation
+   frame found so far ([-1]: none yet); returns it, or [mismatch].  A
+   register location [l] matches static offset [off] iff [l - off] is
+   a non-negative multiple of the frame stride, the same one for every
+   location — memory locations (even) can never match a register
+   offset (odd).  [mem_last] expects one trailing memory location at
+   [addr].  A static recursion with one division per event, so
+   encoding allocates nothing and stays cheap. *)
+let mismatch = -2
+
+let rec walk_frame offs i (locs : Loc.t array) j n base ~mem_last ~addr =
+  if i < Array.length offs then
+    if j >= n then mismatch
+    else
+      let d = locs.(j) - offs.(i) in
+      if
+        if base >= 0 then d = base
+        else d >= 0 && d mod Site.frame_stride = 0
+      then walk_frame offs (i + 1) locs (j + 1) n d ~mem_last ~addr
+      else mismatch
+  else if j = n then if mem_last then mismatch else base
+  else if j + 1 = n && mem_last && addr >= 0 && locs.(j) = addr lsl 1 then
+    base
+  else mismatch
 
 (* The common activation-frame serial of the event's locations, when
    its dynamic read/write sets match the row's static shape exactly;
    [-1] otherwise (then the explicit encoding carries the sets
-   verbatim).  A register location [l] matches static offset [off] iff
-   [l - off] is a non-negative multiple of the frame stride — memory
-   locations (even) can never match a register offset (odd). *)
-let compact_frame (row : Site.row) (e : Event.exec) =
-  let stride = Site.frame_stride in
-  let frame = ref (-1) in
-  let check off l =
-    let d = l - off in
-    d >= 0
-    && d mod stride = 0
-    &&
-    let q = d / stride in
-    if !frame = -1 then begin
-      frame := q;
-      true
-    end
-    else !frame = q
+   verbatim). *)
+let compact_frame (row : Site.row) (v : Event.view) =
+  let addr = v.v_addr in
+  let base =
+    walk_frame row.Site.s_read_offs 0 v.v_reads 0 v.v_nreads (-1)
+      ~mem_last:row.Site.s_mem_read ~addr
   in
-  let rec walk offs i rest ~mem_last =
-    if i < Array.length offs then
-      match rest with
-      | l :: tl -> check offs.(i) l && walk offs (i + 1) tl ~mem_last
-      | [] -> false
+  let base =
+    if base = mismatch then base
     else
-      match (rest, mem_last) with
-      | [], false -> true
-      | [ l ], true -> e.Event.addr >= 0 && l = e.Event.addr lsl 1
-      | _ -> false
+      walk_frame row.Site.s_write_offs 0 v.v_writes 0 v.v_nwrites base
+        ~mem_last:row.Site.s_mem_write ~addr
   in
-  if
-    walk row.Site.s_read_offs 0 e.Event.reads ~mem_last:row.Site.s_mem_read
-    && walk row.Site.s_write_offs 0 e.Event.writes
-         ~mem_last:row.Site.s_mem_write
-  then if !frame = -1 then 0 else !frame
-  else -1
+  if base = mismatch then -1
+  else if base = -1 then 0
+  else base / Site.frame_stride
 
 let grow_ovf b need =
   if Array.length b.b_ovf < need then begin
@@ -159,18 +167,19 @@ let grow_ovf b need =
   end
 
 (** Append one event ([batch_length] must be under [batch_capacity]). *)
-let encode enc b (e : Event.exec) =
+let encode_view enc b (v : Event.view) =
   let i = b.b_n in
-  let site = site_of enc e in
+  let site = site_of enc v in
   b.b_site.(i) <- site;
-  b.b_step.(i) <- e.Event.step;
-  b.b_tid.(i) <- e.Event.tid;
-  b.b_addr.(i) <- e.Event.addr;
-  b.b_value.(i) <- e.Event.value;
-  b.b_next_pc.(i) <- e.Event.next_pc;
-  b.b_input.(i) <- e.Event.input_index;
+  b.b_step.(i) <- v.v_step;
+  b.b_tid.(i) <- v.v_tid;
+  b.b_addr.(i) <- v.v_addr;
+  b.b_value.(i) <- v.v_value;
+  b.b_next_pc.(i) <- v.v_next_pc;
+  b.b_input.(i) <- v.v_input_index;
   (if site < 0 then begin
      (* foreign event: carry it boxed, desc = -(index + 1) *)
+     let e = Event.view_to_exec v in
      let n = b.b_esc_n in
      if Array.length b.b_esc <= n then begin
        let a = Array.make (max 4 (2 * Array.length b.b_esc)) e in
@@ -182,31 +191,24 @@ let encode enc b (e : Event.exec) =
      b.b_desc.(i) <- -(n + 1)
    end
    else
-     let row = Site.row enc.e_table site in
-     let frame = compact_frame row e in
+     let frame = compact_frame (Site.row enc.e_table site) v in
      if frame >= 0 then b.b_desc.(i) <- (frame lsl 1) lor 1
      else begin
-     let nr = List.length e.Event.reads
-     and nw = List.length e.Event.writes in
-     let off = b.b_ovf_n in
-     grow_ovf b (off + 2 + nr + nw);
-     b.b_ovf.(off) <- nr;
-     b.b_ovf.(off + 1) <- nw;
-     let j = ref (off + 2) in
-     List.iter
-       (fun l ->
-         b.b_ovf.(!j) <- l;
-         incr j)
-       e.Event.reads;
-     List.iter
-       (fun l ->
-         b.b_ovf.(!j) <- l;
-         incr j)
-       e.Event.writes;
-     b.b_ovf_n <- !j;
-     b.b_desc.(i) <- off lsl 1
-   end);
+       let nr = v.v_nreads and nw = v.v_nwrites in
+       let off = b.b_ovf_n in
+       grow_ovf b (off + 2 + nr + nw);
+       b.b_ovf.(off) <- nr;
+       b.b_ovf.(off + 1) <- nw;
+       Array.blit v.v_reads 0 b.b_ovf (off + 2) nr;
+       Array.blit v.v_writes 0 b.b_ovf (off + 2 + nr) nw;
+       b.b_ovf_n <- off + 2 + nr + nw;
+       b.b_desc.(i) <- off lsl 1
+     end);
   b.b_n <- i + 1
+
+let encode enc b e =
+  Event.view_fill enc.e_scratch e;
+  encode_view enc b enc.e_scratch
 
 (* -- decoding ----------------------------------------------------------- *)
 
@@ -233,7 +235,6 @@ let decode_into table b i (v : Event.view) =
   v.Event.v_value <- b.b_value.(i);
   v.Event.v_next_pc <- b.b_next_pc.(i);
   v.Event.v_input_index <- b.b_input.(i);
-  v.Event.v_exec <- None;
   let desc = b.b_desc.(i) in
   if desc land 1 = 1 then begin
     let frame = desc lsr 1 in
@@ -360,10 +361,14 @@ let flush t =
         Forwarder.add_n t.fwd b b.b_n
       end
 
-let feed t e =
+let feed_view t v =
   let b = open_cur t in
-  encode t.enc b e;
+  encode_view t.enc b v;
   if b.b_n = t.events_per_batch then flush t
+
+let feed t e =
+  Event.view_fill t.enc.e_scratch e;
+  feed_view t t.enc.e_scratch
 
 let close t =
   flush t;

@@ -77,13 +77,18 @@ type encoder
 
 val encoder : Site.table -> encoder
 
-(** Append one event to the batch (which must not be full). *)
+(** Append one event to the batch (which must not be full), read
+    straight from a view: nothing is allocated unless the event is
+    foreign to the site table. *)
+val encode_view : encoder -> batch -> Event.view -> unit
+
+(** {!encode_view} of a boxed record, through the encoder's scratch
+    view. *)
 val encode : encoder -> batch -> Event.exec -> unit
 
 (** [decode_into table b i v] rebuilds event [i] of [b] into the
-    reusable view [v] (invalidating [v]'s cached exec).  Allocates
-    nothing once [v]'s scratch arrays cover the stream's maximum
-    read/write fan. *)
+    reusable view [v].  Allocates nothing once [v]'s scratch arrays
+    cover the stream's maximum read/write fan. *)
 val decode_into : Site.table -> batch -> int -> Event.view -> unit
 
 (** {1 The coded channel}
@@ -125,7 +130,11 @@ val table : t -> Site.table
 (** {2 Producer side} *)
 
 (** Encode and forward one event; ships the open batch when it
-    reaches [events_per_batch] (blocking while the ring is full). *)
+    reaches [events_per_batch] (blocking while the ring is full).  The
+    view is only read during the call. *)
+val feed_view : t -> Event.view -> unit
+
+(** {!feed_view} of a boxed record. *)
 val feed : t -> Event.exec -> unit
 
 (** Ship the open partial batch, if any. *)

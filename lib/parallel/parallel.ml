@@ -91,8 +91,24 @@ let pp_error ppf e =
    negative even if the system clock steps mid-run. *)
 let now_ns = Dift_obs.Clock.now_ns
 
-(* Order-sensitive accumulation: h' = hash (h, observation). *)
-let mix h obs = Hashtbl.hash (h, obs)
+(* Order-sensitive accumulation of one sink observation into the sink
+   trace hash: an integer mix, so the per-sink hook allocates nothing.
+   Every runtime folds its sinks through this, in step order. *)
+let mix h sink taint step =
+  let code =
+    match (sink : Engine.sink) with
+    | Sink_icall -> 0
+    | Sink_output -> 1
+    | Sink_check -> 2
+    | Sink_store_address -> 3
+    | Sink_load_address -> 4
+    | Sink_branch -> 5
+  in
+  let h =
+    (h lxor ((step lsl 4) lor (code lsl 1) lor Bool.to_int taint))
+    * 0x1E3779B97F4A7C15
+  in
+  h lxor (h lsr 29)
 
 let taint_fingerprint eng =
   let sh = Bool_engine.shadow eng in
@@ -100,16 +116,17 @@ let taint_fingerprint eng =
   |> List.sort compare |> Hashtbl.hash
 
 (* Shared between the inline and the parallel paths: an engine whose
-   sink observations feed the trace hash (and the client callback),
+   sink observations feed the trace hash and then the client callback,
    with modelled-cycle charging disabled — this runtime measures wall
    clock, not the cycle model. *)
 let make_engine ?policy ?on_sink program =
   let eng = Bool_engine.create ?policy program in
   Bool_engine.set_charge eng ignore;
   let trace = ref 0 in
-  Bool_engine.on_sink eng (fun sink taint e ->
-      trace := mix !trace (Engine.sink_to_string sink, taint, e.Event.step);
-      match on_sink with Some f -> f sink taint e | None -> ());
+  Bool_engine.on_sink_view eng (fun sink taint v ->
+      trace := mix !trace sink taint v.Event.v_step);
+  (* the boxed record is built for a client handler only *)
+  Option.iter (Bool_engine.on_sink eng) on_sink;
   (eng, trace)
 
 let result_of eng trace outcome =
@@ -435,11 +452,11 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
           let m = Machine.create ?config program ~input in
           Machine.attach m
             (Tool.make ~dispatch_cost:0
-               ~on_exec:(fun ev ->
+               ~on_view:(fun v ->
                  incr total;
-                 if ev.Event.step > cut then begin
+                 if v.Event.v_step > cut then begin
                    incr replayed;
-                   Bool_engine.process eng ev
+                   Bool_engine.process_view eng v
                  end)
                "degraded-inline-dift");
           Machine.run m
@@ -485,13 +502,17 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
       (match trace with
       | Some tr -> Dift_obs.Trace.name_track tr "app"
       | None -> ());
-      let on_exec =
-        match lf with
-        | None -> fun e -> Channel.add fwd e
-        | Some l -> fun e -> if Livefilter.admit l e then Channel.add fwd e
-      in
+      (* the coded wire encodes straight from the machine's view; the
+         liveness filter inspects boxed records *)
       Machine.attach m
-        (Tool.make ~dispatch_cost:0 ~on_exec "parallel-dift-forwarder");
+        (match lf with
+        | None ->
+            Tool.make ~dispatch_cost:0 ~on_view:(Channel.add_view fwd)
+              "parallel-dift-forwarder"
+        | Some l ->
+            Tool.make ~dispatch_cost:0
+              ~on_exec:(fun e -> if Livefilter.admit l e then Channel.add fwd e)
+              "parallel-dift-forwarder");
       let t0 = now_ns () in
       let run_machine () =
         match trace with
@@ -588,7 +609,7 @@ let run_inline ?config ?obs ?trace ?flight ?policy ?on_sink program ~input =
       Obs_tool.attach reg m
   | None -> ());
   Machine.attach m
-    (Tool.make ~dispatch_cost:0 ~on_exec:(Bool_engine.process eng)
+    (Tool.make ~dispatch_cost:0 ~on_view:(Bool_engine.process_view eng)
        "inline-dift");
   let t0 = now_ns () in
   let outcome =
@@ -731,7 +752,7 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
           let eng, sink_trace = make_engine ?policy ?on_sink program in
           let m = Machine.create ?config program ~input in
           Machine.attach m
-            (Tool.make ~dispatch_cost:0 ~on_exec:(Bool_engine.process eng)
+            (Tool.make ~dispatch_cost:0 ~on_view:(Bool_engine.process_view eng)
                "degraded-inline-dift");
           let outcome = Machine.run m in
           result_of eng sink_trace outcome
@@ -782,7 +803,7 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
       | None -> ());
       Machine.attach m
         (Tool.make ~dispatch_cost:0
-           ~on_exec:(Bool_shards.feed c)
+           ~on_view:(Bool_shards.feed_view c)
            "sharded-dift-router");
       let t0 = now_ns () in
       let run_machine () =
@@ -840,8 +861,7 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
                  step order. *)
               let sink_trace_hash =
                 List.fold_left
-                  (fun h (step, sink, taint, _) ->
-                    mix h (Engine.sink_to_string sink, taint, step))
+                  (fun h (step, sink, taint, _) -> mix h sink taint step)
                   0 merged.Bool_shards.m_sinks
               in
               (match on_sink with

@@ -58,9 +58,9 @@ let mask_of_locs t locs =
 let participants t (e : Event.exec) =
   (1 lsl home_of t e) lor mask_of_locs t e.reads lor mask_of_locs t e.writes
 
-(* View-based variants over the decoded wire: same arithmetic on the
-   view's scratch arrays, so the feeding domain (exec) and a draining
-   shard (view) always reach the same verdict for the same event. *)
+(* View-based variants: same arithmetic on the view's scratch arrays,
+   so a boxed record and a view of the same event (the feeding domain's
+   or a draining shard's) always reach the same verdict. *)
 let mask_of_arr t arr n =
   let m = ref 0 in
   for i = 0 to n - 1 do

@@ -467,6 +467,7 @@ module Make (D : Taint.DOMAIN) = struct
         (** [join.shard<i>]: armed around the join fan-in *)
     mutable domains : unit Domain.t array;
     mutable cross : int;
+    c_scratch : Event.view;  (** boxed records are fed through it *)
   }
 
   let cluster ?policy ?(route = `Request_reply) ?block_bits ?obs ?trace
@@ -532,6 +533,9 @@ module Make (D : Taint.DOMAIN) = struct
         c_join_legs = leg_array "join.shard";
         domains = [||];
         cross = 0;
+        c_scratch =
+          (let f0 = List.hd (Dift_isa.Program.functions program) in
+           Event.view_create ~func:f0 ~instr:f0.Dift_isa.Func.body.(0));
       }
     in
     (* cascade hooks, in dependency order: the feed rings first (their
@@ -579,27 +583,31 @@ module Make (D : Taint.DOMAIN) = struct
   let exchange_messages c =
     Array.fold_left (fun acc w -> acc + w.sent) 0 c.workers
 
-  let feed c e =
+  let feed_view c v =
     let forward =
       match c.c_filter with
       | None -> true
-      | Some lf -> Livefilter.admit lf e
+      | Some lf -> Livefilter.admit lf (Event.view_to_exec v)
     in
     if forward then
       match c.c_route with
-      | `Broadcast -> Array.iter (fun ch -> Channel.add ch e) c.chans
+      | `Broadcast -> Array.iter (fun ch -> Channel.add_view ch v) c.chans
       | `Request_reply ->
-          let mask = Router.participants c.c_router e in
+          let mask = Router.participants_view c.c_router v in
           if Router.is_local mask then
-            Router.iter_shards mask (fun s -> Channel.add c.chans.(s) e)
+            Router.iter_shards mask (fun s -> Channel.add_view c.chans.(s) v)
           else begin
             c.cross <- c.cross + 1;
-            Router.iter_shards mask (fun s -> Channel.add c.chans.(s) e);
+            Router.iter_shards mask (fun s -> Channel.add_view c.chans.(s) v);
             (* flush every participant: no copy of a cross-shard event
                may sit in an open batch while a peer shard blocks
                awaiting one of its exchange legs *)
             Router.iter_shards mask (fun s -> Channel.flush c.chans.(s))
           end
+
+  let feed c e =
+    Event.view_fill c.c_scratch e;
+    feed_view c c.c_scratch
 
   let spawn_one c s w =
     (* chaos [Spawn] interception: any non-Proceed action models

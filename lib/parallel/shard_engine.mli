@@ -299,6 +299,10 @@ module Make (D : Taint.DOMAIN) : sig
       delivers every event to every shard. *)
   val feed : cluster -> Event.exec -> unit
 
+  (** {!feed} of the event a view describes, read during the call: the
+      coded wire encodes it without building a boxed record. *)
+  val feed_view : cluster -> Event.view -> unit
+
   (** Spawn one helper domain per shard, each draining its inbound
       channel through {!handle}.  A failing shard aborts its channel
       and the whole mesh so the failure cascades instead of wedging.

@@ -1,10 +1,6 @@
-(** Events observed by instrumentation tools.
-
-    One {!exec} record is produced for every executed instruction; it
-    carries everything a DBI tool sees: the dynamic instance identity
-    (global step number), the static site (function, pc), the locations
-    read and written, the effective memory address for loads/stores,
-    and the resolved control-flow target. *)
+(** Events observed by instrumentation tools: the reused, array-backed
+    {!view} the machine fills once per executed instruction, and the
+    boxed {!exec} record built from it for tools that keep events. *)
 
 open Dift_isa
 
@@ -53,9 +49,8 @@ let is_branch e = match e.instr with Instr.Br _ -> true | _ -> false
 
 (* A mutable, array-backed projection of [exec].  The read/write sets
    live in reusable scratch arrays ([v_nreads]/[v_nwrites] valid
-   prefixes) so a decoder can refill one view per event without
-   allocating; [v_exec] caches the boxed record so that views filled
-   {e from} an exec hand the original back for free. *)
+   prefixes) so the machine and the wire decoders refill one view per
+   event without allocating. *)
 type view = {
   mutable v_step : int;
   mutable v_tid : int;
@@ -70,7 +65,6 @@ type view = {
   mutable v_next_pc : int;
   mutable v_input_index : int;
   mutable v_value : int;
-  mutable v_exec : exec option;
 }
 
 let view_create ~func ~instr =
@@ -88,25 +82,18 @@ let view_create ~func ~instr =
     v_next_pc = -1;
     v_input_index = -1;
     v_value = 0;
-    v_exec = None;
   }
 
-(* Blit a loc list into a scratch array, growing it when needed;
-   returns the (possibly fresh) array and the filled length. *)
-let blit_locs arr (locs : Loc.t list) =
-  let n = List.length locs in
-  let arr =
-    if Array.length arr >= n then arr
-    else Array.make (max n ((2 * Array.length arr) + 4)) 0
-  in
-  let rec go i = function
-    | [] -> ()
-    | l :: rest ->
-        arr.(i) <- l;
-        go (i + 1) rest
-  in
-  go 0 locs;
-  (arr, n)
+(* Copy a loc list into [arr] from index [i]; returns the length
+   filled.  A static recursion: no closure, no tuple per refill. *)
+let rec blit_locs (arr : Loc.t array) i = function
+  | [] -> i
+  | l :: rest ->
+      arr.(i) <- l;
+      blit_locs arr (i + 1) rest
+
+(* A longer replacement for a scratch array too short for [n] locs. *)
+let grown arr n = Array.make (max n ((2 * Array.length arr) + 4)) 0
 
 let view_fill v (e : exec) =
   v.v_step <- e.step;
@@ -114,49 +101,49 @@ let view_fill v (e : exec) =
   v.v_func <- e.func;
   v.v_pc <- e.pc;
   v.v_instr <- e.instr;
-  let ra, rn = blit_locs v.v_reads e.reads in
-  v.v_reads <- ra;
-  v.v_nreads <- rn;
-  let wa, wn = blit_locs v.v_writes e.writes in
-  v.v_writes <- wa;
-  v.v_nwrites <- wn;
+  let nr = List.length e.reads and nw = List.length e.writes in
+  if Array.length v.v_reads < nr then v.v_reads <- grown v.v_reads nr;
+  if Array.length v.v_writes < nw then v.v_writes <- grown v.v_writes nw;
+  v.v_nreads <- blit_locs v.v_reads 0 e.reads;
+  v.v_nwrites <- blit_locs v.v_writes 0 e.writes;
   v.v_addr <- e.addr;
   v.v_next_pc <- e.next_pc;
   v.v_input_index <- e.input_index;
-  v.v_value <- e.value;
-  v.v_exec <- Some e
+  v.v_value <- e.value
 
 let view_of_exec e =
   let v = view_create ~func:e.func ~instr:e.instr in
   view_fill v e;
   v
 
-let rec locs_of arr i n = if i >= n then [] else arr.(i) :: locs_of arr (i + 1) n
+let rec locs_from arr i n =
+  if i >= n then [] else arr.(i) :: locs_from arr (i + 1) n
 
-(* Materialise (and cache) the boxed record.  The loc lists are built
-   fresh from the array prefixes, so the result is safe to retain past
-   the next [view_fill]. *)
+(* The loc list of a scratch-array prefix: the short sets of all but
+   call instructions are built in one allocation. *)
+let locs_of (arr : Loc.t array) n =
+  match n with
+  | 0 -> []
+  | 1 -> [ arr.(0) ]
+  | 2 -> [ arr.(0); arr.(1) ]
+  | _ -> locs_from arr 0 n
+
+(* A fresh boxed record: the loc lists are built from the array
+   prefixes, so it is safe to retain past the next refill. *)
 let view_to_exec v =
-  match v.v_exec with
-  | Some e -> e
-  | None ->
-      let e =
-        {
-          step = v.v_step;
-          tid = v.v_tid;
-          func = v.v_func;
-          pc = v.v_pc;
-          instr = v.v_instr;
-          reads = locs_of v.v_reads 0 v.v_nreads;
-          writes = locs_of v.v_writes 0 v.v_nwrites;
-          addr = v.v_addr;
-          next_pc = v.v_next_pc;
-          input_index = v.v_input_index;
-          value = v.v_value;
-        }
-      in
-      v.v_exec <- Some e;
-      e
+  {
+    step = v.v_step;
+    tid = v.v_tid;
+    func = v.v_func;
+    pc = v.v_pc;
+    instr = v.v_instr;
+    reads = locs_of v.v_reads v.v_nreads;
+    writes = locs_of v.v_writes v.v_nwrites;
+    addr = v.v_addr;
+    next_pc = v.v_next_pc;
+    input_index = v.v_input_index;
+    value = v.v_value;
+  }
 
 let pp_fault_kind ppf = function
   | Div_by_zero -> Fmt.string ppf "division by zero"

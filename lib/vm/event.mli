@@ -1,10 +1,14 @@
 (** Events observed by instrumentation tools.
 
-    One {!exec} record is produced for every executed instruction; it
-    carries everything a DBI tool sees: the dynamic instance identity
-    (global step number), the static site (function, pc), the
-    locations read and written, the effective memory address for
-    loads/stores, and the resolved control-flow target.
+    Every executed instruction is described once, by the machine's
+    reused {!view}: the dynamic instance identity (global step
+    number), the static site (function, pc), the locations read and
+    written, the effective memory address for loads/stores, and the
+    resolved control-flow target.  The view is refilled in place for
+    the next instruction, so it is valid only while a tool's callback
+    runs; {!exec} is the boxed, immutable form of the same record,
+    built by {!view_to_exec} for tools that keep events (ONTRAC,
+    slicing, the application libraries, the wire producers).
 
     This is also the paper's §2.1 forwarding set — the memory
     addresses/values, input words and control-flow outcomes a main
@@ -60,9 +64,14 @@ type exec = {
 (** A mutable, array-backed projection of {!exec}, designed to be
     refilled in place: the read/write sets live in reusable scratch
     arrays of which the first [v_nreads]/[v_nwrites] entries are
-    valid.  The de-boxed forwarding plane decodes wire batches into
-    one reused view per helper (zero allocation per event); the
-    engine's transfer function consumes views directly. *)
+    valid.  The machine fills one view per instruction and hands it
+    to every tool; the de-boxed forwarding plane decodes wire batches
+    into one reused view per helper; the engine's transfer function
+    consumes views directly.  Nothing is allocated per event.
+
+    Lifetime rule: a view handed to a callback is valid only for the
+    duration of that call.  Anything kept must be copied out, for
+    instance with {!view_to_exec}. *)
 type view = {
   mutable v_step : int;
   mutable v_tid : int;
@@ -77,10 +86,6 @@ type view = {
   mutable v_next_pc : int;
   mutable v_input_index : int;
   mutable v_value : int;
-  mutable v_exec : exec option;
-      (** cache of the boxed record: the original one when the view
-          was filled from an exec, or the materialisation built by
-          {!view_to_exec}; invalidated by refilling *)
 }
 
 (** A blank reusable view ([func]/[instr] are placeholders until the
@@ -88,16 +93,16 @@ type view = {
 val view_create : func:Func.t -> instr:Instr.t -> view
 
 (** Refill [view] from a boxed record (grows the scratch arrays as
-    needed, never shrinks them) and cache the record itself. *)
+    needed, never shrinks them). *)
 val view_fill : view -> exec -> unit
 
 (** A fresh view carrying [exec]. *)
 val view_of_exec : exec -> view
 
-(** The boxed record for this view: the cached original when there is
-    one, otherwise a freshly materialised (and then cached) record
-    whose loc lists are copied out of the scratch arrays — safe to
-    retain after the view is refilled. *)
+(** A fresh boxed record with the view's contents, whose loc lists
+    are copied out of the scratch arrays — safe to retain after the
+    view is refilled.  The machine calls this at most once per
+    instruction and shares the record among its exec tools. *)
 val view_to_exec : view -> exec
 
 val is_branch : exec -> bool

@@ -5,7 +5,11 @@
 
     This is the substitute for the dynamic binary instrumentation
     substrate (Pin/Valgrind) used by the paper: tools attached to the
-    machine observe exactly the event stream a DBI plugin would. *)
+    machine observe exactly the event stream a DBI plugin would.  The
+    interpreter describes each executed instruction by refilling one
+    reused {!Event.view} and allocates nothing per step; the boxed
+    {!Event.exec} is built from the view only for tools (or a step-cost
+    override) that ask for it. *)
 
 open Dift_isa
 
@@ -53,6 +57,7 @@ type status =
 
 type activation = {
   serial : int;
+  loc0 : Loc.t;  (** location of register 0 of this activation *)
   func : Func.t;
   mutable pc : int;
   regs : int array;
@@ -99,10 +104,16 @@ type t = {
   mutable outcome : Event.outcome option;
   mutable dispatch_cycles : int;
       (** summed per-instruction dispatch cost of the attached tools *)
-  mutable step_cost : Event.exec -> int;
-      (** base cost of executing one instruction; replay harnesses
-          override it to fast-forward log-applied (irrelevant)
-          regions *)
+  mutable step_cost : (Event.exec -> int) option;
+      (** base cost of executing one instruction, {!Cost.base_instr}
+          unless overridden; replay harnesses override it to
+          fast-forward log-applied (irrelevant) regions *)
+  view : Event.view;
+      (** the one description of the executing instruction, refilled
+          in place every step and handed to every tool *)
+  mutable cur_th : thread;
+      (** the record of thread [current] once {!schedule} has resolved
+          it, so a step needs no lookup in [threads] *)
 }
 
 exception Replay_divergence of string
@@ -110,7 +121,15 @@ exception Replay_divergence of string
 let fresh_activation m func ~ret_dst ~caller =
   let serial = m.next_serial in
   m.next_serial <- serial + 1;
-  { serial; func; pc = 0; regs = Array.make Reg.count 0; ret_dst; caller }
+  {
+    serial;
+    loc0 = Loc.reg ~frame:serial Reg.r0;
+    func;
+    pc = 0;
+    regs = Array.make Reg.count 0;
+    ret_dst;
+    caller;
+  }
 
 let create ?(config = default_config) program ~input =
   let input =
@@ -123,14 +142,36 @@ let create ?(config = default_config) program ~input =
       a
     end
   in
+  let main = Program.find program (Program.entry program) in
+  let main_thread =
+    {
+      tid = 0;
+      act =
+        {
+          serial = 0;
+          loc0 = Loc.reg ~frame:0 Reg.r0;
+          func = main;
+          pc = 0;
+          regs = Array.make Reg.count 0;
+          ret_dst = None;
+          caller = None;
+        };
+      status = Runnable;
+    }
+  in
+  let view = Event.view_create ~func:main ~instr:Instr.Halt in
+  (* room for the largest read set: an indirect call's arguments and
+     its target register *)
+  view.v_reads <- Array.make (Reg.count + 1) 0;
+  view.v_writes <- Array.make (Reg.count + 1) 0;
   let m =
     {
       program;
       config;
       mem = Memory.create ~padding:config.heap_padding ();
-      threads = [];
-      next_tid = 0;
-      next_serial = 0;
+      threads = [ main_thread ];
+      next_tid = 1;
+      next_serial = 1;
       mutexes = Hashtbl.create 16;
       barriers = Hashtbl.create 16;
       input;
@@ -148,13 +189,11 @@ let create ?(config = default_config) program ~input =
       stop_request = None;
       outcome = None;
       dispatch_cycles = 0;
-      step_cost = (fun _ -> Cost.base_instr);
+      step_cost = None;
+      view;
+      cur_th = main_thread;
     }
   in
-  let main = Program.find program (Program.entry program) in
-  let act = fresh_activation m main ~ret_dst:None ~caller:None in
-  m.threads <- [ { tid = 0; act; status = Runnable } ];
-  m.next_tid <- 1;
   m
 
 let attach m tool =
@@ -162,7 +201,7 @@ let attach m tool =
   m.dispatch_cycles <- m.dispatch_cycles + tool.Tool.dispatch_cost
 
 (** Override the per-instruction base cost (replay fast-forwarding). *)
-let set_step_cost m f = m.step_cost <- f
+let set_step_cost m f = m.step_cost <- Some f
 
 (** Charge extra modelled cycles (used by tools for their overhead). *)
 let charge m n = m.cycles <- m.cycles + n
@@ -191,7 +230,7 @@ let request_stop m reason =
 
 let thread m tid = List.find_opt (fun t -> t.tid = tid) m.threads
 
-let is_replay m = m.config.schedule <> None
+let is_replay m = Option.is_some m.config.schedule
 
 (* -- state fingerprinting (for replay determinism tests) -------------- *)
 
@@ -199,50 +238,109 @@ let is_replay m = m.config.schedule <> None
     and program output.  Two runs with equal fingerprints behaved
     identically as far as the program semantics is concerned. *)
 let fingerprint m =
-  let cells = ref [] in
-  Hashtbl.iter
-    (fun a v -> cells := (a, v) :: !cells)
-    m.mem.Memory.cells;
-  let cells = List.sort compare !cells in
-  Hashtbl.hash (cells, List.rev m.rev_output, m.input_pos)
+  Hashtbl.hash (Memory.cells m.mem, List.rev m.rev_output, m.input_pos)
 
 (* -- operand evaluation ------------------------------------------------ *)
 
-let eval_operand act = function
-  | Operand.Imm n -> (n, [])
-  | Operand.Reg r -> (act.regs.(Reg.index r), [ Loc.reg ~frame:act.serial r ])
+(* [Loc.reg ~frame:act.serial r] without the calls: a frame's register
+   locations are [loc0 + 2 * index]. *)
+let reg_loc act (r : Reg.t) = act.loc0 + ((r :> int) lsl 1)
 
-let reg_loc act r = Loc.reg ~frame:act.serial r
+(* Append to the read / write set of the view being filled.  The
+   scratch arrays have room for [Reg.count + 1] locations (see
+   {!create}), the most one instruction touches: an indirect call's
+   arguments plus its target register. *)
+let add_read (v : Event.view) loc =
+  v.v_reads.(v.v_nreads) <- loc;
+  v.v_nreads <- v.v_nreads + 1
+
+let add_write (v : Event.view) loc =
+  v.v_writes.(v.v_nwrites) <- loc;
+  v.v_nwrites <- v.v_nwrites + 1
+
+(* [Loc.mem addr] without the call, for an address known to be
+   non-negative. *)
+let mem_loc addr = addr lsl 1
+
+(* The value of an operand; a register operand joins the read set. *)
+let operand v act = function
+  | Operand.Imm n -> n
+  | Operand.Reg r ->
+      add_read v (reg_loc act r);
+      act.regs.((r :> int))
 
 (* Value replacement (§3.1): substitute the value produced at a chosen
    dynamic step. *)
 let substitute m v =
-  if m.config.value_replacements = [] then v
-  else
-    match List.assoc_opt m.step_count m.config.value_replacements with
-    | Some v' -> v'
-    | None -> v
+  match m.config.value_replacements with
+  | [] -> v
+  | reps -> (
+      match List.assoc_opt m.step_count reps with Some v' -> v' | None -> v)
 
 (* -- event emission ---------------------------------------------------- *)
 
-let emit m (e : Event.exec) =
-  List.iter (fun (t : Tool.t) -> t.Tool.on_exec e) m.tools
+type step_result =
+  | Executed
+  | Did_block  (** thread could not proceed; nothing was emitted *)
 
-let make_event m th ~instr ~reads ~writes ~addr ~next_pc ~input_index ~value
-    =
-  {
-    Event.step = m.step_count;
-    tid = th.tid;
-    func = th.act.func;
-    pc = th.act.pc;
-    instr;
-    reads;
-    writes;
-    addr;
-    next_pc;
-    input_index;
-    value;
-  }
+(* Start the view of instruction [ins], about to run at [th]'s pc: the
+   sets are emptied and every optional field takes its "none" value,
+   so each case below fills only what its instruction has. *)
+let open_view m th ins =
+  let v = m.view in
+  v.v_step <- m.step_count;
+  v.v_tid <- th.tid;
+  (* the function changes only on calls and returns: skip the write
+     barrier otherwise *)
+  if v.v_func != th.act.func then v.v_func <- th.act.func;
+  v.v_pc <- th.act.pc;
+  v.v_instr <- ins;
+  v.v_nreads <- 0;
+  v.v_nwrites <- 0;
+  v.v_addr <- -1;
+  v.v_next_pc <- -1;
+  v.v_input_index <- -1;
+  v.v_value <- 0;
+  v
+
+(* Hand the view to every tool.  The first exec tool of the step has
+   the boxed record built; the rest of the step shares it. *)
+let rec emit v = function
+  | [] -> ()
+  | (t : Tool.t) :: rest -> (
+      match t.on_instr with
+      | View f ->
+          f v;
+          emit v rest
+      | Exec g ->
+          let e = Event.view_to_exec v in
+          g e;
+          emit_exec v e rest)
+
+and emit_exec v e = function
+  | [] -> ()
+  | (t : Tool.t) :: rest ->
+      (match t.on_instr with View f -> f v | Exec g -> g e);
+      emit_exec v e rest
+
+(* Close the step the view describes: count it, charge it, move the
+   thread's pc to [next_pc] (a negative [next_pc] — control leaves the
+   function — leaves the pc to the caller) and hand the view to the
+   tools.  A step-cost override sees the boxed record, which the exec
+   tools then share. *)
+let commit m act v ~next_pc =
+  v.Event.v_next_pc <- next_pc;
+  m.step_count <- m.step_count + 1;
+  if next_pc >= 0 then act.pc <- next_pc;
+  (match m.step_cost with
+  | None ->
+      m.cycles <- m.cycles + Cost.base_instr + m.dispatch_cycles;
+      emit v m.tools
+  | Some f ->
+      let e = Event.view_to_exec v in
+      m.cycles <- m.cycles + f e + m.dispatch_cycles;
+      emit_exec v e m.tools);
+  Executed
 
 (* -- faults ------------------------------------------------------------ *)
 
@@ -281,10 +379,6 @@ let finish_thread m th =
 
 (* -- instruction execution --------------------------------------------- *)
 
-type step_result =
-  | Executed
-  | Did_block  (** thread could not proceed; nothing was emitted *)
-
 (* Wakes every thread blocked in Retry mode; used after unlocks.  The
    woken threads re-attempt their blocking instruction when next
    scheduled and re-block if the condition still does not hold.  This
@@ -314,302 +408,237 @@ let get_barrier m id =
       Hashtbl.replace m.barriers id b;
       b
 
+(* A memory access at [addr] faults when the address is negative or,
+   with bounds checking on, inside the heap but outside a live
+   block. *)
+let out_of_bounds m addr =
+  addr < 0
+  || m.config.check_bounds
+     && Memory.in_heap m.mem addr
+     && Option.is_none (Memory.block_of m.mem addr)
+
+(* Close a step that faults: the pc stays on the faulting
+   instruction. *)
+let commit_fault m th act v kind =
+  let r = commit m act v ~next_pc:act.pc in
+  fault m th kind;
+  r
+
+(* Call [callee] from [act]: the arguments are copied into a fresh
+   activation, appended pairwise to the read (caller register) and
+   write (callee register) sets — tools rely on that alignment — and
+   the thread moves into the callee. *)
+let call m th act v callee ~ret_dst =
+  act.pc <- act.pc + 1;
+  let callee_act = fresh_activation m callee ~ret_dst ~caller:(Some act) in
+  for i = 0 to callee.Func.arity - 1 do
+    callee_act.regs.(i) <- act.regs.(i);
+    add_read v (reg_loc act (Reg.make i));
+    add_write v (reg_loc callee_act (Reg.make i))
+  done;
+  th.act <- callee_act
+
 (* Executes one instruction of [th].  Returns [Did_block] if the thread
-   must wait (no event emitted, pc unchanged), otherwise emits the exec
-   event and advances state.  Sets [m.outcome] on halting/faulting. *)
+   must wait (nothing emitted, pc unchanged), otherwise fills the
+   machine's view, advances state and emits the view.  Sets
+   [m.outcome] on halting/faulting. *)
 let rec exec_instr m th =
   let act = th.act in
-  let ins = Func.instr act.func act.pc in
-  let simple ?(reads = []) ?(writes = []) ?(addr = -1) ?(input_index = -1)
-      ?(value = 0) ~next_pc () =
-    let e =
-      make_event m th ~instr:ins ~reads ~writes ~addr ~next_pc ~input_index
-        ~value
-    in
-    m.step_count <- m.step_count + 1;
-    m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-    act.pc <- (if next_pc >= 0 then next_pc else act.pc);
-    emit m e;
-    Executed
-  in
+  let ins = act.func.Func.body.(act.pc) in
+  let v = open_view m th ins in
   match ins with
-  | Instr.Nop -> simple ~next_pc:(act.pc + 1) ()
+  | Instr.Nop -> commit m act v ~next_pc:(act.pc + 1)
   | Instr.Mov (d, s) ->
-      let v, rl = eval_operand act s in
-      let v = substitute m v in
-      act.regs.(Reg.index d) <- v;
-      simple ~reads:rl ~writes:[ reg_loc act d ] ~value:v
-        ~next_pc:(act.pc + 1) ()
-  | Instr.Binop (op, d, a, b) -> (
-      let va, ra = eval_operand act a in
-      let vb, rb = eval_operand act b in
-      match Instr.eval_alu op va vb with
-      | None ->
-          (* Emit the faulting event first so slicing can start from it. *)
-          let r = simple ~reads:(ra @ rb) ~next_pc:act.pc () in
-          fault m th Event.Div_by_zero;
-          r
-      | Some v ->
-          let v = substitute m v in
-          act.regs.(Reg.index d) <- v;
-          simple ~reads:(ra @ rb) ~writes:[ reg_loc act d ] ~value:v
-            ~next_pc:(act.pc + 1) ())
+      let x = substitute m (operand v act s) in
+      act.regs.((d :> int)) <- x;
+      add_write v (reg_loc act d);
+      v.v_value <- x;
+      commit m act v ~next_pc:(act.pc + 1)
+  | Instr.Binop (op, d, a, b) ->
+      let va = operand v act a in
+      let vb = operand v act b in
+      (* the faulting event is emitted first, so slicing can start from
+         it *)
+      if Instr.alu_faults op vb then commit_fault m th act v Event.Div_by_zero
+      else begin
+        let x = substitute m (Instr.eval_alu_unchecked op va vb) in
+        act.regs.((d :> int)) <- x;
+        add_write v (reg_loc act d);
+        v.v_value <- x;
+        commit m act v ~next_pc:(act.pc + 1)
+      end
   | Instr.Cmp (op, d, a, b) ->
-      let va, ra = eval_operand act a in
-      let vb, rb = eval_operand act b in
-      let v = substitute m (Instr.eval_cmp op va vb) in
-      act.regs.(Reg.index d) <- v;
-      simple ~reads:(ra @ rb) ~writes:[ reg_loc act d ] ~value:v
-        ~next_pc:(act.pc + 1) ()
-  | Instr.Load (d, base, off) -> (
-      let vb, rb = eval_operand act base in
-      let addr = vb + off in
-      if addr < 0 then begin
-        let r = simple ~reads:rb ~next_pc:act.pc () in
-        fault m th (Event.Out_of_bounds addr);
-        r
+      let va = operand v act a in
+      let vb = operand v act b in
+      let x = substitute m (Instr.eval_cmp op va vb) in
+      act.regs.((d :> int)) <- x;
+      add_write v (reg_loc act d);
+      v.v_value <- x;
+      commit m act v ~next_pc:(act.pc + 1)
+  | Instr.Load (d, base, off) ->
+      let addr = operand v act base + off in
+      if out_of_bounds m addr then
+        commit_fault m th act v (Event.Out_of_bounds addr)
+      else begin
+        let x = substitute m (Memory.read m.mem addr) in
+        act.regs.((d :> int)) <- x;
+        add_read v (mem_loc addr);
+        add_write v (reg_loc act d);
+        v.v_addr <- addr;
+        v.v_value <- x;
+        commit m act v ~next_pc:(act.pc + 1)
       end
-      else
-        match
-          if m.config.check_bounds && Memory.in_heap m.mem addr then
-            Memory.block_of m.mem addr
-          else Some { Memory.base = 0; size = 0; live = true }
-        with
-        | None ->
-            let r = simple ~reads:rb ~next_pc:act.pc () in
-            fault m th (Event.Out_of_bounds addr);
-            r
-        | Some _ ->
-            let v = substitute m (Memory.read m.mem addr) in
-            act.regs.(Reg.index d) <- v;
-            simple
-              ~reads:(rb @ [ Loc.mem addr ])
-              ~writes:[ reg_loc act d ] ~addr ~value:v ~next_pc:(act.pc + 1)
-              ())
-  | Instr.Store (src, base, off) -> (
-      let vs, rs = eval_operand act src in
-      let vb, rb = eval_operand act base in
-      let addr = vb + off in
-      if addr < 0 then begin
-        let r = simple ~reads:(rs @ rb) ~next_pc:act.pc () in
-        fault m th (Event.Out_of_bounds addr);
-        r
+  | Instr.Store (src, base, off) ->
+      let vs = operand v act src in
+      let addr = operand v act base + off in
+      if out_of_bounds m addr then
+        commit_fault m th act v (Event.Out_of_bounds addr)
+      else begin
+        let vs = substitute m vs in
+        Memory.write m.mem addr vs;
+        add_write v (mem_loc addr);
+        v.v_addr <- addr;
+        v.v_value <- vs;
+        commit m act v ~next_pc:(act.pc + 1)
       end
-      else
-        match
-          if m.config.check_bounds && Memory.in_heap m.mem addr then
-            Memory.block_of m.mem addr
-          else Some { Memory.base = 0; size = 0; live = true }
-        with
-        | None ->
-            let r = simple ~reads:(rs @ rb) ~next_pc:act.pc () in
-            fault m th (Event.Out_of_bounds addr);
-            r
-        | Some _ ->
-            let vs = substitute m vs in
-            Memory.write m.mem addr vs;
-            simple ~reads:(rs @ rb)
-              ~writes:[ Loc.mem addr ]
-              ~addr ~value:vs ~next_pc:(act.pc + 1) ())
-  | Instr.Jmp t -> simple ~next_pc:t ()
+  | Instr.Jmp t -> commit m act v ~next_pc:t
   | Instr.Br (c, t, f) ->
-      let v, rl = eval_operand act c in
-      let taken = if v <> 0 then t else f in
+      let x = operand v act c in
+      let taken = if x <> 0 then t else f in
       let taken =
-        if
-          m.config.flip_steps <> []
-          && List.mem m.step_count m.config.flip_steps
-        then if taken = t then f else t
-        else taken
+        match m.config.flip_steps with
+        | [] -> taken
+        | flips ->
+            if List.mem m.step_count flips then if taken = t then f else t
+            else taken
       in
-      simple ~reads:rl ~value:v ~next_pc:taken ()
+      v.v_value <- x;
+      commit m act v ~next_pc:taken
   | Instr.Call (fname, ret_dst) ->
-      let callee = Program.find m.program fname in
-      act.pc <- act.pc + 1;
-      (* the event must still report the call site *)
-      let site_pc = act.pc - 1 in
-      let callee_act = fresh_activation m callee ~ret_dst ~caller:(Some act) in
-      let reads = ref [] and writes = ref [] in
-      for i = callee.Func.arity - 1 downto 0 do
-        callee_act.regs.(i) <- act.regs.(i);
-        reads := Loc.reg ~frame:act.serial (Reg.make i) :: !reads;
-        writes := Loc.reg ~frame:callee_act.serial (Reg.make i) :: !writes
-      done;
-      let e =
-        {
-          Event.step = m.step_count;
-          tid = th.tid;
-          func = act.func;
-          pc = site_pc;
-          instr = ins;
-          reads = !reads;
-          writes = !writes;
-          addr = -1;
-          next_pc = -1;
-          input_index = -1;
-          value = 0;
-        }
-      in
-      m.step_count <- m.step_count + 1;
-      m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-      th.act <- callee_act;
-      emit m e;
-      Executed
+      call m th act v (Program.find m.program fname) ~ret_dst;
+      commit m act v ~next_pc:(-1)
   | Instr.Icall (fop, ret_dst) -> (
-      let fid, rl = eval_operand act fop in
+      (* reads: the arguments in order, then the target operand's
+         register — so the target joins the read set after the call *)
+      let fid =
+        match fop with
+        | Operand.Imm n -> n
+        | Operand.Reg r -> act.regs.((r :> int))
+      in
+      v.v_value <- fid;
       match Program.func_of_id m.program fid with
       | None ->
-          let r = simple ~reads:rl ~value:fid ~next_pc:act.pc () in
-          fault m th (Event.Invalid_icall fid);
-          r
+          ignore (operand v act fop);
+          commit_fault m th act v (Event.Invalid_icall fid)
       | Some callee ->
-          act.pc <- act.pc + 1;
-          let site_pc = act.pc - 1 in
-          let callee_act =
-            fresh_activation m callee ~ret_dst ~caller:(Some act)
-          in
-          (* reads: the arguments in order, then the target operand's
-             registers; writes: the callee's argument registers in the
-             same order — tools rely on this pairwise alignment. *)
-          let reads = ref rl and writes = ref [] in
-          for i = callee.Func.arity - 1 downto 0 do
-            callee_act.regs.(i) <- act.regs.(i);
-            reads := Loc.reg ~frame:act.serial (Reg.make i) :: !reads;
-            writes := Loc.reg ~frame:callee_act.serial (Reg.make i) :: !writes
-          done;
-          let e =
-            {
-              Event.step = m.step_count;
-              tid = th.tid;
-              func = act.func;
-              pc = site_pc;
-              instr = ins;
-              reads = !reads;
-              writes = !writes;
-              addr = -1;
-              next_pc = -1;
-              input_index = -1;
-              value = fid;
-            }
-          in
-          m.step_count <- m.step_count + 1;
-          m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-          th.act <- callee_act;
-          emit m e;
-          Executed)
+          call m th act v callee ~ret_dst;
+          ignore (operand v act fop);
+          commit m act v ~next_pc:(-1))
   | Instr.Ret src -> (
-      let v, rl =
-        match src with
-        | Some o -> eval_operand act o
-        | None -> (0, [])
-      in
+      let x = match src with Some o -> operand v act o | None -> 0 in
+      v.v_value <- x;
       match act.caller with
       | None ->
-          let r = simple ~reads:rl ~value:v ~next_pc:act.pc () in
+          let r = commit m act v ~next_pc:act.pc in
           finish_thread m th;
           r
       | Some caller ->
-          let writes =
-            match act.ret_dst with
-            | Some d ->
-                caller.regs.(Reg.index d) <- v;
-                [ Loc.reg ~frame:caller.serial d ]
-            | None -> []
-          in
-          let r = simple ~reads:rl ~writes ~value:v ~next_pc:act.pc () in
+          (match act.ret_dst with
+          | Some d ->
+              caller.regs.((d :> int)) <- x;
+              add_write v (reg_loc caller d)
+          | None -> ());
+          let r = commit m act v ~next_pc:act.pc in
           th.act <- caller;
           r)
   | Instr.Halt ->
-      let r = simple ~next_pc:act.pc () in
+      let r = commit m act v ~next_pc:act.pc in
       m.outcome <- Some Event.Halted;
       r
-  | Instr.Sys s -> exec_syscall m th act ins s
+  | Instr.Sys s -> exec_syscall m th act v s
 
-and exec_syscall m th act ins s =
-  let simple ?(reads = []) ?(writes = []) ?(input_index = -1) ?(value = 0)
-      ?(next_pc = act.pc + 1) () =
-    let e =
-      make_event m th ~instr:ins ~reads ~writes ~addr:(-1) ~next_pc
-        ~input_index ~value
-    in
-    m.step_count <- m.step_count + 1;
-    m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-    act.pc <- next_pc;
-    emit m e;
-    Executed
-  in
+and exec_syscall m th act v s =
+  let next = act.pc + 1 in
   match s with
   | Instr.Read d ->
       let idx = m.input_pos in
-      let v, input_index =
+      let x =
         if idx < Array.length m.input then begin
           m.input_pos <- idx + 1;
-          (m.input.(idx), idx)
+          v.v_input_index <- idx;
+          m.rev_inputs <- (m.step_count, idx, m.input.(idx)) :: m.rev_inputs;
+          m.input.(idx)
         end
-        else (-1, -1)
+        else -1
       in
-      act.regs.(Reg.index d) <- v;
-      if input_index >= 0 then
-        m.rev_inputs <- (m.step_count, input_index, v) :: m.rev_inputs;
-      simple ~writes:[ reg_loc act d ] ~input_index ~value:v ()
+      act.regs.((d :> int)) <- x;
+      add_write v (reg_loc act d);
+      v.v_value <- x;
+      commit m act v ~next_pc:next
   | Instr.Write o ->
-      let v, rl = eval_operand act o in
-      m.rev_output <- (m.step_count, v) :: m.rev_output;
-      simple ~reads:rl ~value:v ()
+      let x = operand v act o in
+      m.rev_output <- (m.step_count, x) :: m.rev_output;
+      v.v_value <- x;
+      commit m act v ~next_pc:next
   | Instr.Spawn (d, fname, argo) ->
-      let v, rl = eval_operand act argo in
+      let x = operand v act argo in
       let callee = Program.find m.program fname in
       let new_act = fresh_activation m callee ~ret_dst:None ~caller:None in
-      new_act.regs.(0) <- v;
+      new_act.regs.(0) <- x;
       let tid = m.next_tid in
       m.next_tid <- tid + 1;
       m.threads <- m.threads @ [ { tid; act = new_act; status = Runnable } ];
-      act.regs.(Reg.index d) <- tid;
-      simple ~reads:rl
-        ~writes:
-          [ reg_loc act d; Loc.reg ~frame:new_act.serial (Reg.make 0) ]
-        ~value:tid ()
+      act.regs.((d :> int)) <- tid;
+      add_write v (reg_loc act d);
+      add_write v new_act.loc0;
+      v.v_value <- tid;
+      commit m act v ~next_pc:next
   | Instr.Join o -> (
-      let v, rl = eval_operand act o in
-      match thread m v with
+      let x = operand v act o in
+      match thread m x with
       | Some t when t.status <> Finished ->
           th.status <- Blocked Retry;
           Did_block
-      | Some _ | None -> simple ~reads:rl ~value:v ())
-  | Instr.Lock o ->
-      let v, rl = eval_operand act o in
-      let mu = get_mutex m v in
-      (match mu.owner with
+      | Some _ | None ->
+          v.v_value <- x;
+          commit m act v ~next_pc:next)
+  | Instr.Lock o -> (
+      let x = operand v act o in
+      let mu = get_mutex m x in
+      v.v_value <- x;
+      match mu.owner with
       | None ->
           mu.owner <- Some th.tid;
-          ignore (simple ~reads:rl ~value:v ())
-      | Some owner when owner = th.tid -> ignore (simple ~reads:rl ~value:v ())
+          commit m act v ~next_pc:next
+      | Some owner when owner = th.tid -> commit m act v ~next_pc:next
       | Some _ ->
           mu.waiters <- mu.waiters @ [ th.tid ];
-          th.status <- Blocked Retry);
-      if th.status = Runnable || th.status = Finished then Executed
-      else Did_block
+          th.status <- Blocked Retry;
+          Did_block)
   | Instr.Unlock o ->
-      let v, rl = eval_operand act o in
-      let mu = get_mutex m v in
+      let x = operand v act o in
+      let mu = get_mutex m x in
       if mu.owner = Some th.tid then begin
         mu.owner <- None;
         let ws = mu.waiters in
         mu.waiters <- [];
         wake_retriers m ws
       end;
-      simple ~reads:rl ~value:v ()
+      v.v_value <- x;
+      commit m act v ~next_pc:next
   | Instr.Barrier_init (ido, po) ->
-      let id, r1 = eval_operand act ido in
-      let parties, r2 = eval_operand act po in
+      let id = operand v act ido in
+      let parties = operand v act po in
       let b = get_barrier m id in
       b.parties <- parties;
       b.arrived <- 0;
-      simple ~reads:(r1 @ r2) ~value:id ()
+      v.v_value <- id;
+      commit m act v ~next_pc:next
   | Instr.Barrier ido ->
-      let id, rl = eval_operand act ido in
+      let id = operand v act ido in
       let b = get_barrier m id in
       b.arrived <- b.arrived + 1;
+      v.v_value <- id;
       if b.arrived >= b.parties then begin
         b.arrived <- 0;
         let ws = b.waiting in
@@ -627,58 +656,52 @@ and exec_syscall m th act ins s =
                 | Blocked Retry | Runnable | Finished -> ())
             | None -> ())
           ws;
-        simple ~reads:rl ~value:id ()
+        commit m act v ~next_pc:next
       end
       else begin
         b.waiting <- b.waiting @ [ th.tid ];
         th.status <- Blocked Advance;
         (* The arrival itself is observable: emit the event, but leave
            the thread blocked at this pc (it is advanced on release). *)
-        let e =
-          make_event m th ~instr:ins ~reads:rl ~writes:[] ~addr:(-1)
-            ~next_pc:act.pc ~input_index:(-1) ~value:id
-        in
-        m.step_count <- m.step_count + 1;
-        m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-        emit m e;
-        Executed
+        commit m act v ~next_pc:act.pc
       end
   | Instr.Alloc (d, so) ->
-      let size, rl = eval_operand act so in
+      let size = operand v act so in
       let base = Memory.alloc m.mem size in
-      act.regs.(Reg.index d) <- base;
-      simple ~reads:rl ~writes:[ reg_loc act d ] ~value:base ()
+      act.regs.((d :> int)) <- base;
+      add_write v (reg_loc act d);
+      v.v_value <- base;
+      commit m act v ~next_pc:next
   | Instr.Free o -> (
-      let v, rl = eval_operand act o in
-      match Memory.free m.mem v with
-      | Ok () -> simple ~reads:rl ~value:v ()
-      | Error `Invalid_free ->
-          let r = simple ~reads:rl ~value:v ~next_pc:act.pc () in
-          fault m th (Event.Invalid_free v);
-          r)
+      let x = operand v act o in
+      v.v_value <- x;
+      match Memory.free m.mem x with
+      | Ok () -> commit m act v ~next_pc:next
+      | Error `Invalid_free -> commit_fault m th act v (Event.Invalid_free x))
   | Instr.Tid d ->
-      act.regs.(Reg.index d) <- th.tid;
-      simple ~writes:[ reg_loc act d ] ~value:th.tid ()
+      act.regs.((d :> int)) <- th.tid;
+      add_write v (reg_loc act d);
+      v.v_value <- th.tid;
+      commit m act v ~next_pc:next
   | Instr.Check o ->
-      let v, rl = eval_operand act o in
-      if v = 0 then begin
-        let r = simple ~reads:rl ~value:v ~next_pc:act.pc () in
-        fault m th Event.Check_failed;
-        r
-      end
-      else simple ~reads:rl ~value:v ()
+      let x = operand v act o in
+      v.v_value <- x;
+      if x = 0 then commit_fault m th act v Event.Check_failed
+      else commit m act v ~next_pc:next
   | Instr.Mark (_, o) ->
-      let v, rl = eval_operand act o in
-      simple ~reads:rl ~value:v ()
+      v.v_value <- operand v act o;
+      commit m act v ~next_pc:next
   | Instr.Exit ->
-      let r = simple ~next_pc:act.pc () in
+      let r = commit m act v ~next_pc:act.pc in
       finish_thread m th;
       r
 
 (* -- scheduling -------------------------------------------------------- *)
 
-let runnable_threads m =
-  List.filter (fun t -> t.status = Runnable) m.threads
+let is_runnable t =
+  match t.status with Runnable -> true | Blocked _ | Finished -> false
+
+let runnable_threads m = List.filter is_runnable m.threads
 
 let record_switch m tid =
   m.rev_switches <- (m.step_count, tid) :: m.rev_switches;
@@ -688,9 +711,22 @@ let record_switch m tid =
     + Random.State.int m.rng
         (max 1 (m.config.quantum_max - m.config.quantum_min))
 
-(* Choose the thread to run next.  In recording mode: seeded random
-   choice among runnables, recorded for replay.  In replay mode: follow
-   the recorded switch list. *)
+(* Point [m.cur_th] at thread [m.current] and tell whether it can run;
+   the thread list is walked only after a switch. *)
+let current_runnable m =
+  (m.cur_th.tid = m.current
+  ||
+  match thread m m.current with
+  | Some t ->
+      m.cur_th <- t;
+      true
+  | None -> false)
+  && is_runnable m.cur_th
+
+(* Choose the thread to run next, leaving it in [m.cur_th]; [false]
+   when none can run.  In recording mode: seeded random choice among
+   runnables, recorded for replay.  In replay mode: follow the
+   recorded switch list. *)
 let schedule m =
   if is_replay m then begin
     (* Apply all switches recorded at this step. *)
@@ -703,42 +739,34 @@ let schedule m =
       | _ -> ()
     in
     apply ();
-    match thread m m.current with
-    | Some t when t.status = Runnable -> Some t
-    | Some _ | None -> (
-        (* The recorded thread cannot run here: in a faithful replay
-           this only happens transiently when the recording switched
-           away at the same step; fall back to any runnable thread
-           only if the log has a future switch, otherwise diverge. *)
-        match runnable_threads m with
-        | [] -> None
-        | t :: _ -> (
-            match m.replay_sched with
-            | _ :: _ -> Some t
-            | [] ->
-                raise
-                  (Replay_divergence
-                     (Fmt.str "no runnable thread matches log at step %d"
-                        m.step_count))))
+    current_runnable m
+    ||
+    (* The recorded thread cannot run here: in a faithful replay
+       this only happens transiently when the recording switched
+       away at the same step; fall back to any runnable thread
+       only if the log has a future switch, otherwise diverge. *)
+    match runnable_threads m with
+    | [] -> false
+    | t :: _ -> (
+        match m.replay_sched with
+        | _ :: _ ->
+            m.cur_th <- t;
+            true
+        | [] ->
+            raise
+              (Replay_divergence
+                 (Fmt.str "no runnable thread matches log at step %d"
+                    m.step_count)))
   end
   else begin
-    let need_new =
-      m.quantum_left <= 0
-      ||
-      match thread m m.current with
-      | Some t -> t.status <> Runnable
-      | None -> true
-    in
-    if need_new then begin
+    if m.quantum_left <= 0 || not (current_runnable m) then begin
       match runnable_threads m with
       | [] -> ()
       | rs ->
           let pick = List.nth rs (Random.State.int m.rng (List.length rs)) in
           record_switch m pick.tid
     end;
-    match thread m m.current with
-    | Some t when t.status = Runnable -> Some t
-    | Some _ | None -> None
+    current_runnable m
   end
 
 (* -- main loop --------------------------------------------------------- *)
@@ -755,24 +783,22 @@ let run m =
   let rec loop () =
     match m.outcome with
     | Some o -> o
-    | None ->
+    | None -> (
         if m.step_count >= m.config.max_steps then Event.Out_of_steps
-        else begin
+        else
           match m.stop_request with
           | Some r -> Event.Stopped r
-          | None -> (
-              match schedule m with
-              | None ->
-                  if List.for_all (fun t -> t.status = Finished) m.threads
-                  then Event.Halted
-                  else Event.Deadlocked
-              | Some th -> (
-                  match exec_instr m th with
-                  | Executed ->
-                      m.quantum_left <- m.quantum_left - 1;
-                      loop ()
-                  | Did_block -> loop ()))
-        end
+          | None ->
+              if schedule m then begin
+                match exec_instr m m.cur_th with
+                | Executed ->
+                    m.quantum_left <- m.quantum_left - 1;
+                    loop ()
+                | Did_block -> loop ()
+              end
+              else if List.for_all (fun t -> t.status = Finished) m.threads
+              then Event.Halted
+              else Event.Deadlocked)
   in
   let outcome = loop () in
   finish m outcome
@@ -842,13 +868,10 @@ let checkpoint m =
     replay mode with a recorded schedule suffix. *)
 let of_checkpoint ?(config = default_config) program ~input cp =
   let m = create ~config program ~input in
-  let fresh = Memory.snapshot cp.cp_mem in
-  Hashtbl.reset m.mem.Memory.cells;
-  Hashtbl.iter (Hashtbl.replace m.mem.Memory.cells) fresh.Memory.cells;
-  Hashtbl.reset m.mem.Memory.blocks;
-  Hashtbl.iter (Hashtbl.replace m.mem.Memory.blocks) fresh.Memory.blocks;
-  m.mem.Memory.next <- fresh.Memory.next;
+  Memory.restore m.mem ~from:cp.cp_mem;
   m.threads <- copy_threads cp.cp_threads;
+  (* the cached current thread must be one of the copies *)
+  m.cur_th <- List.hd m.threads;
   m.next_tid <- cp.cp_next_tid;
   m.next_serial <- cp.cp_next_serial;
   Hashtbl.reset m.mutexes;

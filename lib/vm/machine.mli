@@ -6,7 +6,11 @@
     This is the substitute for the dynamic binary instrumentation
     substrate (Pin/Valgrind) every technique in the paper runs on:
     tools attached to the machine observe exactly the event stream a
-    DBI plugin would.  The record/replay log and checkpoints serve
+    DBI plugin would.  Each executed instruction is described by
+    refilling one reused {!Event.view}, so the interpreter allocates
+    nothing per step; the boxed {!Event.exec} is built from the view,
+    once per step, only when an exec tool or a step-cost override
+    needs it.  The record/replay log and checkpoints serve
     checkpointing & logging and execution reduction (paper §2.2); the
     schedule/input/branch/value override hooks in {!config} serve the
     fault-location mechanisms of §3.1 and the environment patches of
@@ -43,14 +47,15 @@ exception Replay_divergence of string
 val create : ?config:config -> Dift_isa.Program.t -> input:int array -> t
 
 (** Attach an instrumentation tool; its dispatch cost is charged per
-    instruction from then on. *)
+    instruction from then on.  Tools are called in attachment order. *)
 val attach : t -> Tool.t -> unit
 
 (** Charge extra modelled cycles (used by tools for their overhead). *)
 val charge : t -> int -> unit
 
 (** Override the per-instruction base cost (replay fast-forwarding of
-    log-applied regions). *)
+    log-applied regions).  The function sees the boxed record of each
+    step, which the machine then shares with its exec tools. *)
 val set_step_cost : t -> (Event.exec -> int) -> unit
 
 val program : t -> Dift_isa.Program.t

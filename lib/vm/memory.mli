@@ -4,16 +4,14 @@
     usable by programs.  [Sys Alloc] hands out blocks from the heap
     region and remembers their extents, which lets applications reason
     about heap overflows and lets the avoidance framework pad
-    allocations (an environment patch in the sense of paper §3.2). *)
+    allocations (an environment patch in the sense of paper §3.2).
+
+    Cells live in a page table, so reads and writes neither hash nor
+    allocate once a page exists. *)
 
 type block = { base : int; size : int; mutable live : bool }
 
-type t = {
-  cells : (int, int) Hashtbl.t;
-  blocks : (int, block) Hashtbl.t;  (** keyed by base address *)
-  mutable next : int;  (** bump pointer *)
-  padding : int;  (** extra slack appended to every allocation *)
-}
+type t
 
 (** First heap address; everything below is the global region. *)
 val heap_base : int
@@ -42,5 +40,13 @@ val in_heap : t -> int -> bool
 (** Number of addresses currently holding a non-zero value. *)
 val footprint : t -> int
 
+(** The non-zero cells, as [(address, value)] pairs in ascending
+    address order. *)
+val cells : t -> (int * int) list
+
 (** Deep copy, for checkpointing. *)
 val snapshot : t -> t
+
+(** [restore m ~from] makes [m]'s cells, blocks and bump pointer a deep
+    copy of [from]'s; [m] keeps its own padding. *)
+val restore : t -> from:t -> unit

@@ -5,6 +5,9 @@ let () =
     [
       ("isa", Test_isa.suite);
       ("vm", Test_vm.suite);
+      ("vm-digest", Test_vm_digest.suite);
+      ("alloc", Test_alloc.suite);
+      ("cli", Test_cli.suite);
       ("core", Test_core.suite);
       ("shadow-diff", Test_shadow_diff.suite);
       ("workloads", Test_workloads.suite);

@@ -1,0 +1,61 @@
+(* The allocation claim, checked: the interpreter fills one reused
+   event view per instruction, and inline Bool DIFT consumes that view,
+   so neither allocates per step.  [Gc.minor_words] is domain-local on
+   OCaml 5, so the figure is this domain's alone.  What is left over a
+   run is setup (engine, shadow pages, machine) and the logs the
+   machine must keep (schedule switches, output), which a long run
+   amortises below one word per instruction. *)
+
+open Dift_vm
+open Dift_core
+open Dift_workloads
+module P = Dift_parallel.Parallel
+
+(* sizes giving at least 100 k instructions each *)
+let kernels = [ (Spec_like.matmul, 20); (Spec_like.poly, 1500) ]
+
+let words_per_instr f =
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  let instrs = f () in
+  let words = Gc.minor_words () -. w0 in
+  (instrs, words /. float_of_int instrs)
+
+let check_bound what (w : Workload.t) (instrs, per_instr) =
+  let name = Fmt.str "%s %s" what w.Workload.name in
+  Alcotest.(check bool)
+    (Fmt.str "%s: %d instrs >= 100k" name instrs)
+    true (instrs >= 100_000);
+  Alcotest.(check bool)
+    (Fmt.str "%s: %.3f words/instr <= 1" name per_instr)
+    true (per_instr <= 1.0)
+
+let test_bare_vm () =
+  List.iter
+    (fun ((w : Workload.t), size) ->
+      let input = w.Workload.input ~size ~seed:1 in
+      check_bound "bare VM" w
+        (words_per_instr (fun () ->
+             let m = Machine.create w.Workload.program ~input in
+             ignore (Machine.run m);
+             Machine.steps m)))
+    kernels
+
+let test_inline_dift () =
+  List.iter
+    (fun ((w : Workload.t), size) ->
+      let input = w.Workload.input ~size ~seed:1 in
+      check_bound "inline DIFT" w
+        (words_per_instr (fun () ->
+             let r =
+               P.run_inline ~policy:Policy.data_only w.Workload.program ~input
+             in
+             r.P.i_result.P.events)))
+    kernels
+
+let suite =
+  [
+    Alcotest.test_case "bare VM allocates <= 1 word/instr" `Quick test_bare_vm;
+    Alcotest.test_case "inline DIFT allocates <= 1 word/instr" `Quick
+      test_inline_dift;
+  ]

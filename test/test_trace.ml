@@ -273,10 +273,15 @@ let test_merge_quiescence () =
    consistent snapshot or raise the stated precondition — the
    per-buffer epoch detects a torn read deterministically, where the
    old length-snapshot heuristic could miss one.  After the join, the
-   merge must account for every recorded event. *)
+   merge must account for every recorded event.  The live recording is
+   paced by the merges — each recorder adds at most [per_round] events
+   per merge round — so the work, and every merge's cost, is bounded
+   however the scheduler treats the four domains. *)
 let test_merge_seqlock_storm () =
   let tr = Trace.create () in
   let per_domain = 2_000 in
+  let rounds = 200 and per_round = 50 in
+  let round = Atomic.make 0 in
   let stop = Atomic.make false in
   let recorders =
     List.init 3 (fun d ->
@@ -287,15 +292,20 @@ let test_merge_seqlock_storm () =
             done;
             (* keep mutating until the reader is done, so merges keep
                racing live recording, not just the tail of it *)
+            let live = ref 0 in
             while not (Atomic.get stop) do
-              Trace.instant tr ~cat:"storm" "spin";
+              if !live < (Atomic.get round + 1) * per_round then begin
+                Trace.instant tr ~cat:"storm" "spin";
+                incr live
+              end;
               Domain.cpu_relax ()
             done))
   in
-  for _ = 1 to 200 do
-    match Trace.events tr with
+  for _ = 1 to rounds do
+    (match Trace.events tr with
     | (_ : Trace.event list) -> ()
-    | exception Invalid_argument _ -> ()
+    | exception Invalid_argument _ -> ());
+    Atomic.incr round
   done;
   Atomic.set stop true;
   List.iter Domain.join recorders;
