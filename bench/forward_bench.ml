@@ -1,13 +1,16 @@
-(* The forwarding-plane sweep behind BENCH_5.json: what the de-boxed
-   wire ({!Dift_parallel.Codec}) buys over the boxed one on the
-   helper's side of the channel.
+(* The forwarding-plane sweep behind BENCH_5.json: what the coded
+   channel ({!Dift_parallel.Channel} over {!Dift_parallel.Codec}
+   batches) buys over boxed forwarding on the helper's side.  The
+   runtimes have only the coded channel; the boxed leg is a bench-local
+   reference: [Event.exec] array batches over one {!Dift_parallel.Spsc}
+   ring, each record refilled into one reused view for the engine.
 
    Per (kernel, wire) the kernel's recorded event stream makes one
-   trip through a channel whose ring is sized to hold the whole
-   stream, so neither side ever blocks:
+   trip through a ring sized to hold the whole stream, so neither side
+   ever blocks:
 
-   - feed: every event encoded (coded) or enqueued (boxed) — the
-     producer-side cost of the wire;
+   - feed: every event encoded (coded) or copied into a batch array
+     (boxed) — the producer-side cost of the wire;
    - drain: every event decoded into the reused scratch view and run
      through a fresh Bool-taint engine — the helper-drain work the
      runtime's critical path is made of.
@@ -28,6 +31,7 @@ open Dift_vm
 open Dift_core
 open Dift_workloads
 module Channel = Dift_parallel.Channel
+module Spsc = Dift_parallel.Spsc
 module Parallel = Dift_parallel.Parallel
 module Bool_engine = Engine.Make (Taint.Bool)
 
@@ -44,23 +48,69 @@ let record_events (w : Workload.t) ~size ~seed =
   ignore (Machine.run m);
   Array.of_list (List.rev !acc)
 
+(* A wire as the two timed legs of a trip over a fresh channel. *)
+type wire = {
+  feed : Event.exec array -> unit;  (* enqueue the stream, then close *)
+  drain : (Event.view -> unit) -> unit;  (* every event, in order *)
+}
+
+let coded ~batch_size ~table events =
+  let ch =
+    Channel.create
+      ~queue_capacity:((Array.length events / batch_size) + 2)
+      ~batch_size ~table ()
+  in
+  {
+    feed =
+      (fun events ->
+        Array.iter (Channel.add ch) events;
+        Channel.close ch);
+    drain = (fun f -> Channel.drain ch ~f);
+  }
+
+let boxed ~batch_size ~table:_ events =
+  let ring = Spsc.create ~capacity:((Array.length events / batch_size) + 2) () in
+  {
+    feed =
+      (fun events ->
+        let n = Array.length events in
+        let i = ref 0 in
+        while !i < n do
+          let len = min batch_size (n - !i) in
+          Spsc.push ring (Array.sub events !i len);
+          i := !i + len
+        done;
+        Spsc.close ring);
+    drain =
+      (fun f ->
+        let e0 = events.(0) in
+        let v = Event.view_create ~func:e0.Event.func ~instr:e0.Event.instr in
+        let rec loop () =
+          match Spsc.pop ring with
+          | None -> ()
+          | Some batch ->
+              Array.iter
+                (fun e ->
+                  Event.view_fill v e;
+                  f v)
+                batch;
+              loop ()
+        in
+        loop ());
+  }
+
 (* One trip: feed the whole pre-recorded stream, close, then drain
    into a fresh engine.  Returns (feed_ns, drain_ns, stats). *)
 let trip ~wire ~batch_size ~table program events =
-  let n = Array.length events in
-  let ch =
-    Channel.create ~wire ~queue_capacity:((n / batch_size) + 2) ~batch_size
-      ~table ()
-  in
+  let w = wire ~batch_size ~table events in
   let eng = Bool_engine.create program in
   (* the trips are short: collect pending garbage now so no major
      slice lands inside a timed region *)
   Gc.full_major ();
   let t0 = now_ns () in
-  Array.iter (Channel.add ch) events;
-  Channel.close ch;
+  w.feed events;
   let t1 = now_ns () in
-  Channel.drain ch ~f:(Bool_engine.process_view eng);
+  w.drain (Bool_engine.process_view eng);
   let t2 = now_ns () in
   (t1 - t0, t2 - t1, Bool_engine.stats eng)
 
@@ -102,10 +152,10 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(batch_size = 64) () =
       let events = record_events w ~size:ksize ~seed in
       let table = lazy (Site.of_program program) in
       let boxed, bstats =
-        best_trip ~reps ~wire:`Boxed ~batch_size ~table program events
+        best_trip ~reps ~wire:boxed ~batch_size ~table program events
       in
       let coded, cstats =
-        best_trip ~reps ~wire:`Coded ~batch_size ~table program events
+        best_trip ~reps ~wire:coded ~batch_size ~table program events
       in
       (match (bstats, cstats) with
       | Some b, Some c when b <> c ->

@@ -238,18 +238,6 @@ let taint_cmd =
              rings of the two-phase exchange independently of the \
              inbound forwarding rings.")
   in
-  let wire_arg =
-    let wire = Arg.enum [ ("coded", `Coded); ("boxed", `Boxed) ] in
-    Arg.(
-      value
-      & opt wire `Coded
-      & info [ "wire" ] ~docv:"WIRE"
-          ~doc:
-            "Forwarding wire format (with --parallel): $(b,coded) \
-             (flat struct-of-arrays batches over interned sites, the \
-             default) or $(b,boxed) (one allocated event record per \
-             event, the legacy plane).")
-  in
   let forward_filter_arg =
     Arg.(
       value & flag
@@ -394,7 +382,7 @@ let taint_cmd =
       Fmt.pr "tainted output %d at step %d@." e.Event.value e.Event.step
   in
   let run pos_name workload size seed parallel helpers route queue_capacity
-      batch_size xchg_capacity wire forward_filter fault_plan fault_seed
+      batch_size xchg_capacity forward_filter fault_plan fault_seed
       flight_record crash_dump heartbeat heartbeat_interval deadline degrade
       stats chrome trace_capacity =
     let named =
@@ -546,7 +534,7 @@ let taint_cmd =
           let open Dift_parallel.Parallel in
           match
             run_sharded_result ?obs ?trace:tracer ?flight ?chaos
-              ?watchdog:wd ?degrade ?xchg_capacity ~wire ~forward_filter
+              ?watchdog:wd ?degrade ?xchg_capacity ~forward_filter
               ~route ~queue_capacity ~batch_size ~on_sink ~shards:helpers
               w.Workload.program ~input
           with
@@ -583,7 +571,7 @@ let taint_cmd =
           let open Dift_parallel.Parallel in
           match
             run_result ?obs ?trace:tracer ?flight ?chaos ?watchdog:wd
-              ?degrade ~wire ~forward_filter ~queue_capacity ~batch_size
+              ?degrade ~forward_filter ~queue_capacity ~batch_size
               ~on_sink w.Workload.program ~input
           with
           | Error e ->
@@ -670,7 +658,6 @@ let taint_cmd =
                   (if helpers > 1 then
                      Some (Option.value xchg_capacity ~default:256)
                    else None);
-                g_wire = wire;
                 g_forward_filter = forward_filter;
                 g_deadline =
                   Option.map
@@ -710,7 +697,7 @@ let taint_cmd =
     Term.(
       const run $ pos_name_arg $ workload_arg $ size_arg $ seed_arg
       $ parallel_arg $ helpers_arg $ route_arg $ queue_arg $ batch_arg
-      $ xchg_arg $ wire_arg $ forward_filter_arg $ fault_plan_arg
+      $ xchg_arg $ forward_filter_arg $ fault_plan_arg
       $ fault_seed_arg $ flight_record_arg $ crash_dump_arg $ heartbeat_arg
       $ heartbeat_interval_arg $ deadline_arg $ degrade_arg $ stats_arg
       $ chrome_trace_arg $ trace_capacity_arg)
@@ -785,12 +772,9 @@ let inspect_cmd =
     | None -> ()
   in
   let print_geometry g =
-    Fmt.pr "geometry: %s runtime, %d shard(s), ring %d x %d%s%s%s%s%s@."
+    Fmt.pr "geometry: %s runtime, %d shard(s), ring %d x %d%s%s%s%s@."
       (Option.value ~default:"?" (str g "runtime"))
       (num "shards" g) (num "queue_capacity" g) (num "batch_size" g)
-      (match str g "wire" with
-      | Some w -> Fmt.str ", %s wire" w
-      | None -> "")
       (match J.member "xchg_capacity" g with
       | Some (J.Int c) -> Fmt.str ", xchg %d" c
       | _ -> "")

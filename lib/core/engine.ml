@@ -472,6 +472,14 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
     in
     process_view t v
 
+  let fingerprint t =
+    Sh.fold
+      (fun loc d acc ->
+        let h = (loc * 0x1E3779B97F4A7C15) lxor Hashtbl.hash d in
+        let h = (h lxor (h lsr 31)) * 0x3F58476D1CE4E5B9 in
+        acc + (h lxor (h lsr 29)))
+      t.shadow 0
+
   (** Expose the engine through an observability registry (derived
       gauges over the live stats and the O(1) shadow accounting). *)
   let register_obs t reg =

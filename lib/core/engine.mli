@@ -64,6 +64,13 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) : sig
   (** Tainted locations and total shadow words (memory accounting). *)
   val shadow_footprint : t -> int * int
 
+  (** An order-independent hash of the whole shadow state: the sum of
+      one mixed hash per non-bottom [(location, taint)] entry.  Being a
+      sum, the fingerprints of engines owning disjoint locations add up
+      to the fingerprint of their union.  Allocates nothing per
+      entry. *)
+  val fingerprint : t -> int
+
   (** The per-event transfer function (exposed for harnesses that
       drive the engine themselves; {!attach} wires it up as a VM
       tool). *)

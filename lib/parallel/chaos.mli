@@ -7,7 +7,7 @@
     path the cross-validation tests exercise — so this module makes
     them {e schedulable}: a {!plan} is a deterministic list of faults
     keyed to the N-th occurrence of a channel operation, and the
-    runtimes ({!Forwarder}, {!Parallel}, {!Shard_engine}) consult an
+    runtimes ({!Channel}, {!Parallel}, {!Shard_engine}) consult an
     optional {!t} at each seam.
 
     The seam is strictly {b opt-in}: without a [?chaos] argument the
@@ -127,10 +127,10 @@ val register_obs : t -> Dift_obs.Registry.t -> unit
 
     [targeted_only] restricts the instance to rules with an explicit
     [where] prefix: bare rules (no [where]) do not match.  Auxiliary
-    rings whose faults are pure degradations — the forwarder's
-    free-list ring ([ring.free.*]) — use it so that a plan like
-    [pop@1=raise] keeps meaning "the first {e event-carrying} pop",
-    not whichever recycling pop happens to run first. *)
+    rings whose faults are pure degradations — a channel's free ring
+    ([ring.free.*], one instance per channel) — use it so that a plan
+    like [pop@1=raise] keeps meaning "the first {e event-carrying}
+    pop", not whichever recycling pop happens to run first. *)
 type inst
 
 val instance : ?escalate:bool -> ?targeted_only:bool -> t -> ns:string -> inst

@@ -273,153 +273,3 @@ let decode_into table b i (v : Event.view) =
     v.Event.v_nwrites <- nw
   end
   end
-
-(* -- the coded channel -------------------------------------------------- *)
-
-type t = {
-  table : Site.table;
-  enc : encoder;
-  fwd : batch Forwarder.t;
-      (** [batch_size = 1]: one ring slot per encoded batch, event
-          accounting in {!Forwarder.add_n} weights *)
-  free : batch Spsc.t;
-      (** decoded batches coming back for reuse — the preallocated
-          lanes cycle producer → consumer → producer *)
-  chaos_free : Chaos.inst option;
-  events_per_batch : int;
-  mutable cur : batch option;  (** producer side *)
-  mutable scratch : Event.view option;  (** consumer side *)
-}
-
-let create ?obs ?trace ?flight ?chaos ?progress ?escalate ?(ns = "parallel")
-    ~queue_capacity ~events_per_batch ~table () =
-  if events_per_batch < 1 then
-    invalid_arg
-      (Fmt.str "Codec.create: events_per_batch = %d < 1" events_per_batch);
-  let fwd =
-    Forwarder.create ?obs ?trace ?flight ?chaos ?progress ?escalate ~ns
-      ~queue_capacity ~batch_size:1 ()
-  in
-  {
-    table;
-    enc = encoder table;
-    fwd;
-    free = Spsc.create ~capacity:(queue_capacity + 2) ();
-    chaos_free =
-      Option.map
-        (fun c ->
-          Chaos.instance ~targeted_only:true c ~ns:("ring.free." ^ ns))
-        chaos;
-    events_per_batch;
-    cur = None;
-    scratch = None;
-  }
-
-let table t = t.table
-
-let fresh t = batch_create ~events_per_batch:t.events_per_batch
-
-(* The open batch: the current one, a recycled one off the free list
-   (steady state — the lanes cycle, no allocation), or a fresh set of
-   lanes.  Same free-ring chaos semantics as {!Forwarder}: a [Drop]
-   skips recycling once, an [Abort] kills the free ring, a [Raise]
-   crashes the producer. *)
-let open_cur t =
-  match t.cur with
-  | Some b -> b
-  | None ->
-      let pop_free () =
-        match Spsc.try_pop t.free with
-        | Some b ->
-            batch_clear b;
-            b
-        | None -> fresh t
-      in
-      let b =
-        match t.chaos_free with
-        | None -> pop_free ()
-        | Some c -> (
-            match Chaos.on_pop c with
-            | Chaos.Proceed -> pop_free ()
-            | Chaos.Fail -> fresh t
-            | Chaos.Abort_now ->
-                Spsc.abort t.free;
-                fresh t
-            | Chaos.Raise_now e -> raise e)
-      in
-      t.cur <- Some b;
-      b
-
-let flush t =
-  match t.cur with
-  | None -> ()
-  | Some b ->
-      if b.b_n > 0 then begin
-        t.cur <- None;
-        (* batch_size = 1: lands on the ring immediately, weighted by
-           its event count *)
-        Forwarder.add_n t.fwd b b.b_n
-      end
-
-let feed_view t v =
-  let b = open_cur t in
-  encode_view t.enc b v;
-  if b.b_n = t.events_per_batch then flush t
-
-let feed t e =
-  Event.view_fill t.enc.e_scratch e;
-  feed_view t t.enc.e_scratch
-
-let close t =
-  flush t;
-  Forwarder.close t.fwd
-
-let abort t = Forwarder.abort t.fwd
-let aborted t = Forwarder.aborted t.fwd
-
-let scratch_view t =
-  match t.scratch with
-  | Some v -> v
-  | None ->
-      let r0 = Site.row t.table 0 in
-      let v =
-        Event.view_create ~func:r0.Site.s_func ~instr:r0.Site.s_instr
-      in
-      t.scratch <- Some v;
-      v
-
-let drain ?around_batch ?(after_batch = fun ~last_step:_ -> ()) t ~f =
-  let v = scratch_view t in
-  let recycle b =
-    batch_clear b;
-    match t.chaos_free with
-    | None -> ignore (Spsc.try_push t.free b : bool)
-    | Some c -> (
-        match Chaos.on_push c with
-        | Chaos.Proceed -> ignore (Spsc.try_push t.free b : bool)
-        | Chaos.Fail -> ()
-        | Chaos.Abort_now -> Spsc.abort t.free
-        | Chaos.Raise_now e -> raise e)
-  in
-  Forwarder.drain ?around_batch t.fwd ~f:(fun b ->
-      let n = b.b_n in
-      for i = 0 to n - 1 do
-        decode_into t.table b i v;
-        f v
-      done;
-      if n > 0 then after_batch ~last_step:b.b_step.(n - 1);
-      recycle b)
-
-(* -- accounting passthrough (event counts are add_n weights) ----------- *)
-
-let events t = Forwarder.events t.fwd
-let batches t = Forwarder.batches t.fwd
-let dropped_batches t = Forwarder.dropped_batches t.fwd
-let dropped_events t = Forwarder.dropped_events t.fwd
-let discarded_batches t = Forwarder.discarded_batches t.fwd
-let discarded_events t = Forwarder.discarded_events t.fwd
-let consumed_batches t = Forwarder.consumed_batches t.fwd
-let consumed_events t = Forwarder.consumed_events t.fwd
-let producer_stalls t = Forwarder.producer_stalls t.fwd
-let consumer_waits t = Forwarder.consumer_waits t.fwd
-let in_flight_batches t = Forwarder.in_flight_batches t.fwd

@@ -37,18 +37,12 @@ type error = {
   e_partial : partial;
 }
 
-type degraded = {
-  d_leg : leg;
-  d_exn : exn;
-  d_cutoff_step : int;
-  d_replayed_events : int;
-}
+type degraded = { d_leg : leg; d_exn : exn }
 
 type report = {
   result : result;
   queue_capacity : int;
   batch_size : int;
-  wire : Channel.wire;
   filtered_events : int;
       (** events the producer-side liveness filter dropped (0 with the
           filter off); [result.events] already adds them back *)
@@ -110,11 +104,6 @@ let mix h sink taint step =
   in
   h lxor (h lsr 29)
 
-let taint_fingerprint eng =
-  let sh = Bool_engine.shadow eng in
-  Bool_engine.Sh.fold (fun loc d acc -> (loc, d) :: acc) sh []
-  |> List.sort compare |> Hashtbl.hash
-
 (* Shared between the inline and the parallel paths: an engine whose
    sink observations feed the trace hash and then the client callback,
    with modelled-cycle charging disabled — this runtime measures wall
@@ -140,7 +129,7 @@ let result_of eng trace outcome =
     sink_trace_hash = !trace;
     tainted_locations;
     shadow_words;
-    taint_fingerprint = taint_fingerprint eng;
+    taint_fingerprint = Bool_engine.fingerprint eng;
   }
 
 (* Channel geometry below 1 would loop in batch fill / ring indexing
@@ -172,12 +161,9 @@ let leg_to_string = function
   | `Deadline -> "deadline"
 
 let pp_degraded ppf d =
-  Fmt.pf ppf
-    "degraded: %a leg failed (%s); inline completion replayed %d events \
-     after step %d"
+  Fmt.pf ppf "degraded: %a leg failed (%s); completed by an inline rerun"
     pp_leg d.d_leg
     (Printexc.to_string d.d_exn)
-    d.d_replayed_events d.d_cutoff_step
 
 (* Chaos [Spawn] interception, shared by both runtimes' supervisors:
    any non-Proceed action models [Domain.spawn] itself failing. *)
@@ -210,13 +196,99 @@ let with_leg leg f =
       Dift_obs.Progress.enter l;
       Fun.protect ~finally:(fun () -> Dift_obs.Progress.leave l) f
 
+let run_inline ?config ?obs ?trace ?flight ?policy ?on_sink program ~input =
+  let eng, sink_trace = make_engine ?policy ?on_sink program in
+  (match trace with
+  | Some tr ->
+      Dift_obs.Trace.name_track tr "app";
+      Bool_engine.set_trace eng tr
+  | None -> ());
+  (match flight with
+  | Some fl ->
+      Dift_obs.Flight.name_domain fl "app";
+      Bool_engine.set_flight eng fl
+  | None -> ());
+  let m = Machine.create ?config program ~input in
+  (match obs with
+  | Some reg ->
+      Bool_engine.register_obs eng reg;
+      Obs_tool.attach reg m
+  | None -> ());
+  Machine.attach m
+    (Tool.make ~dispatch_cost:0 ~on_view:(Bool_engine.process_view eng)
+       "inline-dift");
+  let t0 = now_ns () in
+  let outcome =
+    match trace with
+    | Some tr ->
+        Dift_obs.Trace.span tr ~cat:"vm" "app.run" (fun () -> Machine.run m)
+    | None -> Machine.run m
+  in
+  let i_wall_ns = now_ns () - t0 in
+  { i_result = result_of eng sink_trace outcome; i_wall_ns }
+
+(* -- the supervisors' shared failure path ------------------------------ *)
+
+let errored flight e =
+  flight_ev flight "run.error" ~detail:(leg_to_string e.e_leg);
+  Error e
+
+let wd_fired = function Some w -> Watchdog.fired w | None -> None
+
+let deadline_error m partial =
+  {
+    e_leg = `Deadline;
+    e_exn = Watchdog.Deadline_exceeded m;
+    e_secondary = [];
+    e_partial = partial;
+  }
+
+(* A post-cascade run can die of a downstream abort exception — or even
+   complete looking ordinary.  The deadline miss is the root cause, so
+   it takes over as the primary error; whatever the legs died of
+   becomes secondary. *)
+let wd_override watchdog e =
+  match wd_fired watchdog with
+  | None -> e
+  | Some m ->
+      {
+        (deadline_error m e.e_partial) with
+        e_secondary = e.e_exn :: e.e_secondary;
+      }
+
+(* Degraded-mode inline completion, one rule for both runtimes: when a
+   non-application leg fails (helper or shard crash, spawn failure,
+   deadline miss), rerun the deterministic machine inline on a fresh
+   engine — bit-identical to {!run_inline} by construction — and let
+   [report] wrap that result with the parallel plane's partial
+   accounting.  Nothing is resumed: no cutoff is exact once a
+   cross-shard event may be half-exchanged, and one rule is less code
+   than two.  Application-leg failures are excluded: the app's own
+   crash would simply recur in the rerun (as does a client [on_sink]
+   exception, which fails the rerun and restores the original
+   error). *)
+let conclude ?config ?policy ?on_sink ~flight ~degrade program ~input report
+    e =
+  match degrade with
+  | Some `Inline when e.e_leg <> `App -> (
+      flight_ev flight "run.degrade" ~detail:(leg_to_string e.e_leg);
+      match run_inline ?config ?policy ?on_sink program ~input with
+      | exception rx ->
+          errored flight { e with e_secondary = e.e_secondary @ [ rx ] }
+      | r ->
+          flight_ev flight "run.done" ~a:r.i_result.events;
+          Ok (report r.i_result { d_leg = e.e_leg; d_exn = e.e_exn }))
+  | _ -> errored flight e
+
+(* -- the two-domain runtime -------------------------------------------- *)
+
 let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
-    ?(queue_capacity = 64) ?(batch_size = 64) ?(wire = `Coded)
-    ?(forward_filter = false) ?policy ?on_sink program ~input =
+    ?(queue_capacity = 64) ?(batch_size = 64) ?(forward_filter = false)
+    ?policy ?on_sink program ~input =
   validate_geometry "run" ~queue_capacity ~batch_size;
   let progress = Option.map Watchdog.progress watchdog in
   let fwd =
-    Channel.create ?obs ?trace ?flight ?chaos ?progress ~wire ~queue_capacity
+    Channel.create ?obs ?trace ?flight ?chaos ?progress ~queue_capacity
       ~batch_size
       ~table:(lazy (Site.of_program program))
       ()
@@ -232,11 +304,6 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
   let join_leg =
     Option.map (fun p -> Dift_obs.Progress.leg p "join.helper") progress
   in
-  (* degraded-mode cutoff: step of the last event of the last batch the
-     helper fully processed.  Written by the helper, read by the
-     application domain strictly after the join (the happens-before
-     edge), so a plain ref suffices. *)
-  let cutoff = ref (-1) in
   (* the filter is sound only when taint flows through the event's
      read set; control-plane taint escapes it, so the filter silently
      stands down under propagate_control *)
@@ -245,6 +312,9 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
     if forward_filter && not p.Policy.propagate_control then
       Some (Livefilter.create ~slots:1 ())
     else None
+  in
+  let filtered () =
+    match lf with Some l -> Livefilter.filtered l | None -> 0
   in
   let eng, sink_trace = make_engine ?policy ?on_sink program in
   (* Timeline: the engine samples its shadow footprint from whichever
@@ -346,19 +416,6 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
               (fun ~last_step ->
                 Livefilter.advance ~repopulate l ~slot:0 ~step:last_step) )
     in
-    (* degraded mode resumes strictly after the last fully-processed
-       batch, so the cutoff only ever advances at batch boundaries *)
-    let after_batch =
-      match degrade with
-      | None -> after_batch
-      | Some `Inline ->
-          Some
-            (fun ~last_step ->
-              cutoff := last_step;
-              match after_batch with
-              | Some g -> g ~last_step
-              | None -> ())
-    in
     let drain () = Channel.drain ~around_batch ?after_batch fwd ~f in
     try
       match trace with
@@ -394,35 +451,12 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
   flight_name flight "app";
   flight_ev flight "run.start" ~a:queue_capacity ~b:batch_size
     ~detail:"two-domain";
-  let errored e =
-    flight_ev flight "run.error" ~detail:(leg_to_string e.e_leg);
-    Error e
-  in
-  let wd_fired () =
-    match watchdog with Some w -> Watchdog.fired w | None -> None
-  in
-  (* A post-cascade run can die of a downstream abort exception — or
-     even complete looking ordinary.  The deadline miss is the root
-     cause, so it takes over as the primary error; whatever the legs
-     died of becomes secondary. *)
-  let wd_override e =
-    match wd_fired () with
-    | None -> e
-    | Some m ->
-        {
-          e_leg = `Deadline;
-          e_exn = Watchdog.Deadline_exceeded m;
-          e_secondary = e.e_exn :: e.e_secondary;
-          e_partial = e.e_partial;
-        }
-  in
-  let mk_report ~filtered ~degraded result ~main_wall_ns ~total_wall_ns =
+  let mk_report ~degraded result ~main_wall_ns ~total_wall_ns =
     {
       result;
       queue_capacity;
       batch_size;
-      wire;
-      filtered_events = filtered;
+      filtered_events = filtered ();
       batches = Channel.batches fwd;
       dropped_batches = Channel.dropped_batches fwd;
       dropped_events = Channel.dropped_events fwd;
@@ -433,62 +467,14 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
       degraded;
     }
   in
-  (* Degraded-mode inline completion: when a non-application leg fails
-     (helper crash, spawn failure, deadline miss), re-execute the
-     deterministic machine, counting every event but processing only
-     those strictly past the cutoff through the retained engine — the
-     events at or below it were fully processed by the helper exactly
-     once, so the merged result is bit-identical to a pure inline run.
-     Application-leg failures are excluded: the app's own crash would
-     simply recur in the replay (as does a client [on_sink] exception,
-     which aborts the replay and restores the original error). *)
-  let conclude_err e =
-    match degrade with
-    | Some `Inline when e.e_leg <> `App -> (
-        let cut = !cutoff in
-        flight_ev flight "run.degrade" ~a:cut ~detail:(leg_to_string e.e_leg);
-        let total = ref 0 and replayed = ref 0 in
-        let replay () =
-          let m = Machine.create ?config program ~input in
-          Machine.attach m
-            (Tool.make ~dispatch_cost:0
-               ~on_view:(fun v ->
-                 incr total;
-                 if v.Event.v_step > cut then begin
-                   incr replayed;
-                   Bool_engine.process_view eng v
-                 end)
-               "degraded-inline-dift");
-          Machine.run m
-        in
-        match replay () with
-        | exception rx -> errored { e with e_secondary = e.e_secondary @ [ rx ] }
-        | outcome ->
-            (* the engine processed the admitted events up to the
-               cutoff (helper-side) plus everything past it (replay);
-               the report counts whole-program events, as inline does *)
-            let result =
-              let r = result_of eng sink_trace outcome in
-              { r with events = !total }
-            in
-            flight_ev flight "run.done" ~a:!total ~b:!replayed;
-            let wall = now_ns () - t_start in
-            Ok
-              (mk_report
-                 ~filtered:
-                   (match lf with Some l -> Livefilter.filtered l | None -> 0)
-                 ~degraded:
-                   (Some
-                      {
-                        d_leg = e.e_leg;
-                        d_exn = e.e_exn;
-                        d_cutoff_step = cut;
-                        d_replayed_events = !replayed;
-                      })
-                 result ~main_wall_ns:wall ~total_wall_ns:wall))
-    | _ -> errored e
+  let conclude_err =
+    conclude ?config ?policy ?on_sink ~flight ~degrade program ~input
+      (fun result d ->
+        let wall = now_ns () - t_start in
+        mk_report ~degraded:(Some d) result ~main_wall_ns:wall
+          ~total_wall_ns:wall)
   in
-  let finish_err e = conclude_err (wd_override e) in
+  let finish_err e = conclude_err (wd_override watchdog e) in
   arm_leg spawn_leg;
   match chaos_spawn chaos helper_body with
   | exception ex ->
@@ -502,7 +488,7 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
       (match trace with
       | Some tr -> Dift_obs.Trace.name_track tr "app"
       | None -> ());
-      (* the coded wire encodes straight from the machine's view; the
+      (* the channel encodes straight from the machine's view; the
          liveness filter inspects boxed records *)
       Machine.attach m
         (match lf with
@@ -551,75 +537,32 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
                   let total_wall_ns = now_ns () - t0 in
                   (* a cascade can leave every leg terminating cleanly:
                      the watchdog verdict outranks the ordinary one *)
-                  match wd_fired () with
-                  | Some m ->
-                      conclude_err
-                        {
-                          e_leg = `Deadline;
-                          e_exn = Watchdog.Deadline_exceeded m;
-                          e_secondary = [];
-                          e_partial = partial ();
-                        }
+                  match wd_fired watchdog with
+                  | Some m -> conclude_err (deadline_error m (partial ()))
                   | None ->
                       flight_ev flight "run.done" ~a:(Channel.events fwd)
                         ~b:(Channel.batches fwd);
-                      let filtered_events =
-                        match lf with
-                        | Some l -> Livefilter.filtered l
-                        | None -> 0
-                      in
                       (* add the filtered events back so the report
                          counts whole-program events on every
                          configuration — filtered and unfiltered runs
                          stay bit-identical *)
                       let result =
                         let r = result_of eng sink_trace outcome in
-                        { r with events = r.events + filtered_events }
+                        { r with events = r.events + filtered () }
                       in
                       Ok
-                        (mk_report ~filtered:filtered_events ~degraded:None
-                           result ~main_wall_ns ~total_wall_ns)))))
+                        (mk_report ~degraded:None result ~main_wall_ns
+                           ~total_wall_ns)))))
 
 let run ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?queue_capacity
-    ?batch_size ?wire ?forward_filter ?policy ?on_sink program ~input =
+    ?batch_size ?forward_filter ?policy ?on_sink program ~input =
   match
     run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
-      ?queue_capacity ?batch_size ?wire ?forward_filter ?policy ?on_sink
-      program ~input
+      ?queue_capacity ?batch_size ?forward_filter ?policy ?on_sink program
+      ~input
   with
   | Ok r -> r
   | Error e -> raise e.e_exn
-
-let run_inline ?config ?obs ?trace ?flight ?policy ?on_sink program ~input =
-  let eng, sink_trace = make_engine ?policy ?on_sink program in
-  (match trace with
-  | Some tr ->
-      Dift_obs.Trace.name_track tr "app";
-      Bool_engine.set_trace eng tr
-  | None -> ());
-  (match flight with
-  | Some fl ->
-      Dift_obs.Flight.name_domain fl "app";
-      Bool_engine.set_flight eng fl
-  | None -> ());
-  let m = Machine.create ?config program ~input in
-  (match obs with
-  | Some reg ->
-      Bool_engine.register_obs eng reg;
-      Obs_tool.attach reg m
-  | None -> ());
-  Machine.attach m
-    (Tool.make ~dispatch_cost:0 ~on_view:(Bool_engine.process_view eng)
-       "inline-dift");
-  let t0 = now_ns () in
-  let outcome =
-    match trace with
-    | Some tr ->
-        Dift_obs.Trace.span tr ~cat:"vm" "app.run" (fun () -> Machine.run m)
-    | None -> Machine.run m
-  in
-  let i_wall_ns = now_ns () - t0 in
-  { i_result = result_of eng sink_trace outcome; i_wall_ns }
 
 (* -- the sharded N-helper runtime ------------------------------------- *)
 
@@ -631,7 +574,6 @@ type sharded_report = {
   s_route : Shard_engine.route;
   s_queue_capacity : int;
   s_batch_size : int;
-  s_wire : Channel.wire;
   s_filtered_events : int;
       (** events the producer-side liveness filter dropped (0 with the
           filter off); [s_result.events] already adds them back *)
@@ -645,8 +587,8 @@ type sharded_report = {
 
 let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
     ?route ?(queue_capacity = 64) ?(batch_size = 64) ?xchg_capacity
-    ?block_bits ?(wire = `Coded) ?(forward_filter = false) ?policy ?on_sink
-    ~shards program ~input =
+    ?block_bits ?(forward_filter = false) ?policy ?on_sink ~shards program
+    ~input =
   if shards < 1 then
     invalid_arg (Fmt.str "Parallel.run_sharded: shards = %d < 1" shards);
   validate_geometry "run_sharded" ~queue_capacity ~batch_size;
@@ -660,8 +602,8 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
   in
   let c =
     Bool_shards.cluster ?policy ?route ?block_bits ?obs ?trace ?flight
-      ?chaos ?watchdog ~queue_capacity ~batch_size ?xchg_capacity ~wire
-      ?filter:lf ~shards program
+      ?chaos ?watchdog ~queue_capacity ~batch_size ?xchg_capacity ?filter:lf
+      ~shards program
   in
   let t_start = now_ns () in
   let partial () =
@@ -715,81 +657,33 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
   flight_name flight "app";
   flight_ev flight "run.start" ~a:shards ~b:queue_capacity
     ~detail:"sharded";
-  let errored e =
-    flight_ev flight "run.error" ~detail:(leg_to_string e.e_leg);
-    Error e
+  let filtered () =
+    match lf with Some l -> Livefilter.filtered l | None -> 0
   in
-  let wd_fired () =
-    match watchdog with Some w -> Watchdog.fired w | None -> None
+  let mk_report ~degraded s_result ~s_main_wall_ns ~s_total_wall_ns =
+    {
+      s_result;
+      s_shards = shards;
+      s_route = (match route with Some r -> r | None -> `Request_reply);
+      s_queue_capacity = queue_capacity;
+      s_batch_size = batch_size;
+      s_filtered_events = filtered ();
+      s_cross_events = Bool_shards.cross_events c;
+      s_exchange_messages = Bool_shards.exchange_messages c;
+      s_per_shard = Bool_shards.shard_stats c;
+      s_main_wall_ns;
+      s_total_wall_ns;
+      s_degraded = degraded;
+    }
   in
-  (* the deadline miss is the root cause of whatever the legs then
-     died of — it takes over as the primary error (see run_result) *)
-  let wd_override e =
-    match wd_fired () with
-    | None -> e
-    | Some m ->
-        {
-          e_leg = `Deadline;
-          e_exn = Watchdog.Deadline_exceeded m;
-          e_secondary = e.e_exn :: e.e_secondary;
-          e_partial = e.e_partial;
-        }
+  let conclude_err =
+    conclude ?config ?policy ?on_sink ~flight ~degrade program ~input
+      (fun result d ->
+        let wall = now_ns () - t_start in
+        mk_report ~degraded:(Some d) result ~s_main_wall_ns:wall
+          ~s_total_wall_ns:wall)
   in
-  (* Degraded-mode inline completion, sharded edition.  Unlike the
-     two-domain runtime there is no exact resume point: a cross-shard
-     event may have been half-exchanged when the cluster died, and no
-     single cutoff covers N shards mid-protocol.  The replay is
-     therefore a full inline rerun on a fresh engine — trivially
-     bit-identical to {!run_inline} — while the partial cluster
-     accounting survives in the report ([d_cutoff_step] is [-1]:
-     nothing was resumed). *)
-  let conclude_err e =
-    match degrade with
-    | Some `Inline when e.e_leg <> `App -> (
-        flight_ev flight "run.degrade" ~a:(-1)
-          ~detail:(leg_to_string e.e_leg);
-        let replay () =
-          let eng, sink_trace = make_engine ?policy ?on_sink program in
-          let m = Machine.create ?config program ~input in
-          Machine.attach m
-            (Tool.make ~dispatch_cost:0 ~on_view:(Bool_engine.process_view eng)
-               "degraded-inline-dift");
-          let outcome = Machine.run m in
-          result_of eng sink_trace outcome
-        in
-        match replay () with
-        | exception rx -> errored { e with e_secondary = e.e_secondary @ [ rx ] }
-        | result ->
-            flight_ev flight "run.done" ~a:result.events ~b:0;
-            let wall = now_ns () - t_start in
-            Ok
-              {
-                s_result = result;
-                s_shards = shards;
-                s_route =
-                  (match route with Some r -> r | None -> `Request_reply);
-                s_queue_capacity = queue_capacity;
-                s_batch_size = batch_size;
-                s_wire = wire;
-                s_filtered_events =
-                  (match lf with Some l -> Livefilter.filtered l | None -> 0);
-                s_cross_events = Bool_shards.cross_events c;
-                s_exchange_messages = Bool_shards.exchange_messages c;
-                s_per_shard = Bool_shards.shard_stats c;
-                s_main_wall_ns = wall;
-                s_total_wall_ns = wall;
-                s_degraded =
-                  Some
-                    {
-                      d_leg = e.e_leg;
-                      d_exn = e.e_exn;
-                      d_cutoff_step = -1;
-                      d_replayed_events = result.events;
-                    };
-              })
-    | _ -> errored e
-  in
-  let finish_err e = conclude_err (wd_override e) in
+  let finish_err e = conclude_err (wd_override watchdog e) in
   match Bool_shards.start c with
   | exception Shard_engine.Spawn_failure ex ->
       finish_err
@@ -836,22 +730,13 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
           (* closes the channels, joins every shard *)
           match Bool_shards.finish_result c with
           | Error f -> finish_err (error_of_failure f)
-          | Ok _ when wd_fired () <> None ->
+          | Ok _ when wd_fired watchdog <> None ->
               (* a cascade can leave every shard terminating cleanly:
                  the watchdog verdict outranks the ordinary one *)
-              let m = Option.get (wd_fired ()) in
               conclude_err
-                {
-                  e_leg = `Deadline;
-                  e_exn = Watchdog.Deadline_exceeded m;
-                  e_secondary = [];
-                  e_partial = partial ();
-                }
+                (deadline_error (Option.get (wd_fired watchdog)) (partial ()))
           | Ok merged ->
               let s_total_wall_ns = now_ns () - t0 in
-              let s_filtered_events =
-                match lf with Some l -> Livefilter.filtered l | None -> 0
-              in
               flight_ev flight "run.done"
                 ~a:merged.Bool_shards.m_events
                 ~b:(Bool_shards.exchange_messages c);
@@ -871,40 +756,25 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
                     merged.Bool_shards.m_sinks
               | None -> ());
               Ok
-                {
-                  s_result =
-                    {
-                      outcome;
-                      events = merged.Bool_shards.m_events + s_filtered_events;
-                      sources = merged.Bool_shards.m_sources;
-                      sink_hits = merged.Bool_shards.m_sink_hits;
-                      sink_trace_hash;
-                      tainted_locations =
-                        merged.Bool_shards.m_tainted_locations;
-                      shadow_words = merged.Bool_shards.m_shadow_words;
-                      taint_fingerprint = merged.Bool_shards.m_fingerprint;
-                    };
-                  s_shards = shards;
-                  s_route =
-                    (match route with Some r -> r | None -> `Request_reply);
-                  s_queue_capacity = queue_capacity;
-                  s_batch_size = batch_size;
-                  s_wire = wire;
-                  s_filtered_events;
-                  s_cross_events = Bool_shards.cross_events c;
-                  s_exchange_messages = Bool_shards.exchange_messages c;
-                  s_per_shard = Bool_shards.shard_stats c;
-                  s_main_wall_ns;
-                  s_total_wall_ns;
-                  s_degraded = None;
-                }))
+                (mk_report ~degraded:None
+                   {
+                     outcome;
+                     events = merged.Bool_shards.m_events + filtered ();
+                     sources = merged.Bool_shards.m_sources;
+                     sink_hits = merged.Bool_shards.m_sink_hits;
+                     sink_trace_hash;
+                     tainted_locations = merged.Bool_shards.m_tainted_locations;
+                     shadow_words = merged.Bool_shards.m_shadow_words;
+                     taint_fingerprint = merged.Bool_shards.m_fingerprint;
+                   }
+                   ~s_main_wall_ns ~s_total_wall_ns)))
 
 let run_sharded ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
-    ?queue_capacity ?batch_size ?xchg_capacity ?block_bits ?wire
-    ?forward_filter ?policy ?on_sink ~shards program ~input =
+    ?queue_capacity ?batch_size ?xchg_capacity ?block_bits ?forward_filter
+    ?policy ?on_sink ~shards program ~input =
   match
     run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
-      ?route ?queue_capacity ?batch_size ?xchg_capacity ?block_bits ?wire
+      ?route ?queue_capacity ?batch_size ?xchg_capacity ?block_bits
       ?forward_filter ?policy ?on_sink ~shards program ~input
   with
   | Ok r -> r
@@ -940,12 +810,12 @@ let pp_result ppf r =
 
 let pp_report ppf r =
   Fmt.pf ppf
-    "queue %d x %d (%a wire%t): %a; %d batches, %d stalls, %d waits; main \
-     %.2f ms, total %.2f ms"
-    r.queue_capacity r.batch_size Channel.pp_wire r.wire
+    "queue %d x %d%t: %a; %d batches, %d stalls, %d waits; main %.2f ms, \
+     total %.2f ms"
+    r.queue_capacity r.batch_size
     (fun ppf ->
       if r.filtered_events > 0 then
-        Fmt.pf ppf ", %d filtered" r.filtered_events)
+        Fmt.pf ppf " (%d filtered)" r.filtered_events)
     pp_result r.result r.batches r.producer_stalls r.consumer_waits
     (float_of_int r.main_wall_ns /. 1e6)
     (float_of_int r.total_wall_ns /. 1e6)

@@ -5,7 +5,7 @@
     helper-core split with a cycle model, this module {e runs} it: the
     application executes in the calling OCaml 5 domain while a helper
     [Domain.t] consumes the forwarded event stream through a bounded
-    {!Forwarder} channel and drives the shared taint engine
+    {!Channel} and drives the shared taint engine
     ({!Dift_core.Engine} over {!Dift_core.Taint.Bool}).  The numbers
     it reports are wall-clock, not modelled cycles — the software
     proof that the paper's decoupled architecture keeps the
@@ -41,8 +41,8 @@ type result = {
   tainted_locations : int;
   shadow_words : int;
   taint_fingerprint : int;
-      (** hash of the full final shadow state (sorted location/taint
-          pairs) *)
+      (** hash of the full final shadow state
+          ({!Dift_core.Engine.Make.fingerprint}) *)
 }
 
 (** {1 Supervised outcomes}
@@ -94,18 +94,10 @@ type error = {
 val pp_error : error Fmt.t
 
 (** How a run that lost its parallel plane was completed anyway
-    ([~degrade:`Inline]): the failing leg and its exception, plus the
-    resume point — [d_cutoff_step] is the step of the last event the
-    parallel plane had fully processed ([-1] when nothing was: a spawn
-    failure, or any sharded degrade, which always reruns from scratch)
-    and [d_replayed_events] how many events the inline completion
-    processed past it. *)
-type degraded = {
-  d_leg : leg;
-  d_exn : exn;
-  d_cutoff_step : int;
-  d_replayed_events : int;
-}
+    ([~degrade:`Inline]): the failing leg and its exception.  Both
+    runtimes complete the same way, by a full inline rerun of the
+    whole program on a fresh engine. *)
+type degraded = { d_leg : leg; d_exn : exn }
 
 val pp_degraded : degraded Fmt.t
 
@@ -113,7 +105,6 @@ type report = {
   result : result;
   queue_capacity : int;  (** ring slots, in batches *)
   batch_size : int;  (** events per batch *)
-  wire : Channel.wire;  (** forwarding-plane encoding of the run *)
   filtered_events : int;
       (** events dropped producer-side by the taint-liveness filter
           ([0] with the filter off); [result.events] already adds them
@@ -132,7 +123,7 @@ type report = {
   total_wall_ns : int;  (** until the helper joined *)
   degraded : degraded option;
       (** [Some _] iff the parallel plane failed and the run was
-          completed by the degraded-mode inline replay; the [result]
+          completed by the degraded-mode inline rerun; the [result]
           is then still bit-identical to {!run_inline}'s *)
 }
 
@@ -168,11 +159,10 @@ type inline_report = {
     counter samples; both sides feed the [ring.occupancy] counter
     track.  Export with {!Dift_obs.Trace.write} after the run.
 
-    [wire] picks the forwarding-plane encoding (default [`Coded]:
-    interned sites and flat {!Codec} batches — zero allocation per
-    forwarded event in the steady state; [`Boxed] forwards whole
-    event records as before).  Both wires produce bit-identical
-    reports.  With [~forward_filter:true], the application domain
+    Events travel as interned sites and flat {!Codec} batches, encoded
+    straight from the machine's view — no allocation per forwarded
+    event or batch in the steady state.  With [~forward_filter:true],
+    the application domain
     additionally drops events that provably cannot touch live taint
     (see {!Livefilter}); results stay bit-identical — only
     [filtered_events] and the forwarded volume change.  The filter
@@ -193,14 +183,14 @@ type inline_report = {
 
     With [~degrade:`Inline], a failure of any non-application leg
     (helper crash, spawn failure, deadline miss) no longer ends the
-    run: the application domain re-executes the deterministic machine
-    and completes the tracking through the retained engine, processing
-    exactly the events past the last fully-processed batch boundary —
-    the report comes back [Ok], flagged [degraded], with a [result]
-    bit-identical to {!run_inline}'s.  A client [on_sink] callback
-    then fires on the calling domain for the replayed suffix.  If the
-    replay itself fails, the original error returns with the replay
-    exception appended to [e_secondary].
+    run: the application domain reruns the whole program inline on a
+    fresh engine — the report comes back [Ok], flagged [degraded],
+    with a [result] bit-identical to {!run_inline}'s and the channel
+    counters of the failed attempt.  A client [on_sink] callback then
+    fires on the calling domain for every sink of the rerun, after
+    whatever the helper delivered before it failed.  If the rerun
+    itself fails, the original error returns with the rerun exception
+    appended to [e_secondary].
 
     With [?flight], both domains record their recent structured
     events on the always-on flight recorder ({!Dift_obs.Flight}):
@@ -224,7 +214,6 @@ val run :
   ?degrade:[ `Inline ] ->
   ?queue_capacity:int ->
   ?batch_size:int ->
-  ?wire:Channel.wire ->
   ?forward_filter:bool ->
   ?policy:Policy.t ->
   ?on_sink:(Engine.sink -> bool -> Event.exec -> unit) ->
@@ -245,7 +234,6 @@ val run_result :
   ?degrade:[ `Inline ] ->
   ?queue_capacity:int ->
   ?batch_size:int ->
-  ?wire:Channel.wire ->
   ?forward_filter:bool ->
   ?policy:Policy.t ->
   ?on_sink:(Engine.sink -> bool -> Event.exec -> unit) ->
@@ -277,7 +265,7 @@ val run_inline :
     a {!Router} partitions shadow memory across shards by block
     interleaving the {!Dift_vm.Loc} encoding, the application domain
     routes each forwarded event to the shards it touches over
-    per-shard {!Forwarder} channels, and events spanning shards are
+    per-shard {!Channel}s, and events spanning shards are
     resolved by {!Shard_engine}'s two-phase read-request/taint-reply
     exchange (or conservatively broadcast — see
     {!Shard_engine.route}).  Results merge deterministically at join:
@@ -293,7 +281,6 @@ type sharded_report = {
   s_route : Shard_engine.route;
   s_queue_capacity : int;  (** per-shard inbound ring slots *)
   s_batch_size : int;  (** events per inbound batch *)
-  s_wire : Channel.wire;  (** forwarding-plane encoding of the run *)
   s_filtered_events : int;
       (** events dropped producer-side by the taint-liveness filter
           ([0] with the filter off); [s_result.events] already adds
@@ -305,8 +292,7 @@ type sharded_report = {
   s_total_wall_ns : int;  (** until the last shard joined *)
   s_degraded : degraded option;
       (** [Some _] iff the cluster failed and the run was completed by
-          the degraded-mode inline replay (always a full rerun — no
-          consistent cross-shard resume point exists mid-protocol);
+          the degraded-mode inline rerun, as in {!run};
           [s_result] is then still bit-identical to {!run_inline}'s *)
 }
 
@@ -333,9 +319,9 @@ type sharded_report = {
     [?trace], each shard gets its own [shard-<i>] track of batch and
     ring spans next to the [app] track.
 
-    [wire] and [forward_filter] behave as in {!run} ([`Coded] default;
-    the filter keeps one liveness epoch per shard and stands down
-    under [propagate_control]).
+    [forward_filter] behaves as in {!run} (the filter keeps one
+    liveness epoch per shard and stands down under
+    [propagate_control]).
 
     With [?chaos], the fault plan is threaded through every shard's
     inbound channel, every exchange ring and the domain spawns (see
@@ -349,10 +335,9 @@ type sharded_report = {
     its cascade hooks in dependency order (each feed channel, then the
     mesh), so a wedged shard or exchange leg is torn down after its
     deadline and surfaced as a [`Deadline] error.  With
-    [~degrade:`Inline], any non-application failure is completed by a
-    {e full} inline rerun on a fresh engine (no consistent cross-shard
-    resume point exists mid-protocol) — [Ok], flagged [s_degraded],
-    bit-identical to {!run_inline}.
+    [~degrade:`Inline], any non-application failure is completed by
+    the same full inline rerun as {!run}'s — [Ok], flagged
+    [s_degraded], bit-identical to {!run_inline}.
 
     With [?flight], the application ring (named ["app"]) records
     [run.start], producer-side [ring.*] events for every shard
@@ -377,7 +362,6 @@ val run_sharded :
   ?batch_size:int ->
   ?xchg_capacity:int ->
   ?block_bits:int ->
-  ?wire:Channel.wire ->
   ?forward_filter:bool ->
   ?policy:Policy.t ->
   ?on_sink:(Engine.sink -> bool -> Event.exec -> unit) ->
@@ -405,7 +389,6 @@ val run_sharded_result :
   ?batch_size:int ->
   ?xchg_capacity:int ->
   ?block_bits:int ->
-  ?wire:Channel.wire ->
   ?forward_filter:bool ->
   ?policy:Policy.t ->
   ?on_sink:(Engine.sink -> bool -> Event.exec -> unit) ->

@@ -8,7 +8,6 @@ type geometry = {
   g_queue_capacity : int;
   g_batch_size : int;
   g_xchg_capacity : int option;
-  g_wire : Channel.wire;
   g_forward_filter : bool;
   g_deadline : string option;
   g_degrade : bool;
@@ -21,7 +20,6 @@ let geometry_json g =
        ("shards", Json.Int g.g_shards);
        ("queue_capacity", Json.Int g.g_queue_capacity);
        ("batch_size", Json.Int g.g_batch_size);
-       ("wire", Json.String (Fmt.str "%a" Channel.pp_wire g.g_wire));
        ("forward_filter", Json.Bool g.g_forward_filter);
        ("degrade", Json.Bool g.g_degrade);
      ]

@@ -130,7 +130,7 @@ module Make (D : Taint.DOMAIN) = struct
     w_flight : Dift_obs.Flight.t option;
         (** exchange legs record [xchg.push]/[xchg.pop] flight events *)
     w_scratch : Event.view;
-        (** refilled per event on the boxed {!handle} path; coded
+        (** refilled per event on the boxed {!handle} path; channel
             drains hand their own scratch view to {!handle_view} *)
     mutable sinks : (int * Engine.sink * D.t * Event.exec) list;
         (** newest first *)
@@ -371,16 +371,11 @@ module Make (D : Taint.DOMAIN) = struct
     m_fingerprint : int;
   }
 
-  (* Same recipe as the sequential fingerprint: every (loc, taint)
-     entry, sorted, hashed.  Request/reply shards own disjoint
-     location sets, so concatenating their folds enumerates exactly
-     the sequential shadow. *)
+  (* Same recipe as the sequential fingerprint ({!E.fingerprint}, a
+     sum over entries).  Request/reply shards own disjoint location
+     sets, so the sum of their fingerprints is the sequential one. *)
   let fingerprint_of ws =
-    Array.fold_left
-      (fun acc w ->
-        E.Sh.fold (fun loc d acc -> (loc, d) :: acc) (E.shadow w.eng) acc)
-      [] ws
-    |> List.sort compare |> Hashtbl.hash
+    Array.fold_left (fun acc w -> acc + E.fingerprint w.eng) 0 ws
 
   let merge ws =
     match ws.(0).route with
@@ -472,8 +467,7 @@ module Make (D : Taint.DOMAIN) = struct
 
   let cluster ?policy ?(route = `Request_reply) ?block_bits ?obs ?trace
       ?flight ?chaos ?watchdog ?(queue_capacity = 64) ?(batch_size = 64)
-      ?(xchg_capacity = 256) ?(xchg_journal = false) ?(wire = `Coded)
-      ?filter ~shards program =
+      ?(xchg_capacity = 256) ?(xchg_journal = false) ?filter ~shards program =
     let router = Router.create ?block_bits ~shards () in
     let progress = Option.map Watchdog.progress watchdog in
     let xchg =
@@ -489,7 +483,7 @@ module Make (D : Taint.DOMAIN) = struct
               | `Broadcast -> s = 0)
             ~shard:s program)
     in
-    (* one interned site table, shared by every coded shard channel *)
+    (* one interned site table, shared by every shard channel *)
     let table = lazy (Site.of_program program) in
     let chans =
       (* request/reply shards coordinate on every cross-shard event, so
@@ -499,7 +493,7 @@ module Make (D : Taint.DOMAIN) = struct
       Array.init shards (fun s ->
           Channel.create ?obs ?trace ?flight ?chaos ?progress ~escalate
             ~ns:(Fmt.str "parallel.shard%d" s)
-            ~wire ~queue_capacity ~batch_size ~table ())
+            ~queue_capacity ~batch_size ~table ())
     in
     let leg_array prefix =
       match progress with
@@ -805,10 +799,10 @@ module Make (D : Taint.DOMAIN) = struct
       c.workers
 
   let run_stream ?policy ?route ?block_bits ?queue_capacity ?batch_size
-      ?xchg_capacity ?wire ?filter ~shards program events =
+      ?xchg_capacity ?filter ~shards program events =
     let c =
       cluster ?policy ?route ?block_bits ?queue_capacity ?batch_size
-        ?xchg_capacity ?wire ?filter ~shards program
+        ?xchg_capacity ?filter ~shards program
     in
     start c;
     List.iter (feed c) events;

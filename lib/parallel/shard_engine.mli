@@ -183,7 +183,7 @@ module Make (D : Taint.DOMAIN) : sig
   val handle : worker -> Event.exec -> unit
 
   (** {!handle} over a decoded {!Event.view} — the zero-copy path the
-      coded wire drains through ({!Channel.drain} hands every shard a
+      channel drains through ({!Channel.drain} hands every shard a
       reused scratch view).  The view is read during the call only. *)
   val handle_view : worker -> Event.view -> unit
 
@@ -213,8 +213,8 @@ module Make (D : Taint.DOMAIN) : sig
     m_tainted_locations : int;  (** summed over disjoint shards *)
     m_shadow_words : int;  (** summed over disjoint shards *)
     m_fingerprint : int;
-        (** hash of the sorted (loc, taint) entries of the union
-            shadow — same recipe as the sequential fingerprint *)
+        (** {!Dift_core.Engine.Make.fingerprint} of the union shadow —
+            the sum of the shards' fingerprints *)
   }
 
   (** Merge the workers of one cluster (call only after all domains
@@ -231,7 +231,7 @@ module Make (D : Taint.DOMAIN) : sig
   type cluster
 
   (** [cluster ~shards program] assembles a router, the exchange mesh,
-      one worker and one inbound {!Forwarder} channel per shard
+      one worker and one inbound {!Channel} per shard
       (metric namespace [parallel.shard<i>] when [?obs] is given, plus
       per-shard [busy_ns]/[wall_ns]/[utilization_pct] gauges and the
       [parallel.router.cross_events] counter).  No domains run yet —
@@ -244,15 +244,12 @@ module Make (D : Taint.DOMAIN) : sig
 
       With [?flight], every seam also records bounded flight-recorder
       events on the acting domain's ring: the inbound channels'
-      [ring.*] events (see {!Forwarder.create}), exchange legs as
+      [ring.*] events (see {!Channel.create}), exchange legs as
       [xchg.push]/[xchg.pop]/[xchg.dead] (category [xchg],
       [a] = source shard, [b] = destination), shard lifecycle
       [shard.start]/[shard.crash] (category [run]), and the engines'
       [engine.progress] milestones.
-      [?wire] picks the forwarding-plane encoding for every shard's
-      inbound channel (default [`Coded] — the de-boxed {!Codec} plane;
-      [`Boxed] forwards whole event records as before); both wires are
-      result-identical.  With [?filter] (created by the caller with
+      With [?filter] (created by the caller with
       one slot per shard), the feeder consults the producer-side
       taint-liveness filter before routing each event, and every shard
       publishes taint and advances its epoch as it drains — see
@@ -284,7 +281,6 @@ module Make (D : Taint.DOMAIN) : sig
     ?batch_size:int ->
     ?xchg_capacity:int ->
     ?xchg_journal:bool ->
-    ?wire:Channel.wire ->
     ?filter:Livefilter.t ->
     shards:int ->
     Program.t ->
@@ -295,12 +291,12 @@ module Make (D : Taint.DOMAIN) : sig
 
   (** Route one event from the application domain: deliver it to every
       participant shard's inbound channel, flushing all of them when
-      the event crosses shards (see {!Forwarder.flush}).  [`Broadcast]
+      the event crosses shards (see {!Channel.flush}).  [`Broadcast]
       delivers every event to every shard. *)
   val feed : cluster -> Event.exec -> unit
 
   (** {!feed} of the event a view describes, read during the call: the
-      coded wire encodes it without building a boxed record. *)
+      channel encodes it without building a boxed record. *)
   val feed_view : cluster -> Event.view -> unit
 
   (** Spawn one helper domain per shard, each draining its inbound
@@ -355,7 +351,6 @@ module Make (D : Taint.DOMAIN) : sig
     ?queue_capacity:int ->
     ?batch_size:int ->
     ?xchg_capacity:int ->
-    ?wire:Channel.wire ->
     ?filter:Livefilter.t ->
     shards:int ->
     Program.t ->

@@ -63,14 +63,16 @@ let create ?push_leg ?pop_leg ~capacity () =
     pop_leg;
   }
 
-(* Arm [leg] for the duration of [f] — parity-balanced even if [f]
-   raises, so a leg can never be left armed by a crashing side. *)
-let armed leg f =
+(* Run [park t x] with [leg] armed — parity-balanced even if it
+   raises, so a leg can never be left armed by a crashing side.
+   Without a leg nothing is allocated. *)
+let armed leg park t x =
   match leg with
-  | None -> f ()
+  | None -> park t x
   | Some l ->
       Dift_obs.Progress.enter l;
-      Fun.protect ~finally:(fun () -> Dift_obs.Progress.leave l) f
+      Fun.protect ~finally:(fun () -> Dift_obs.Progress.leave l) (fun () ->
+          park t x)
 
 let capacity t = t.cap
 let length t = max 0 (Atomic.get t.tail - Atomic.get t.head)
@@ -96,15 +98,28 @@ let signal_locked t cond =
 let spin_budget =
   if Domain.recommended_domain_count () > 1 then 2048 else 0
 
-(* Spin while [cond] holds, up to the budget; true if it still holds
-   (caller should park). *)
-let spin_while cond =
+(* The producer's park condition: the ring is full and the consumer
+   has not aborted. *)
+let full t tl = (not (Atomic.get t.aborted)) && tl - Atomic.get t.head >= t.cap
+
+(* The consumer's park condition: the ring is empty and neither closed
+   nor aborted. *)
+let empty t () =
+  Atomic.get t.tail = Atomic.get t.head
+  && (not (Atomic.get t.closed))
+  && not (Atomic.get t.aborted)
+
+(* Spin while the park condition [cond t x] holds, up to the budget;
+   true if it still holds (caller should park).  [cond] is one of the
+   two top-level conditions above, not a closure, so a stall allocates
+   nothing. *)
+let spin cond t x =
   let i = ref 0 in
-  while !i < spin_budget && cond () do
+  while !i < spin_budget && cond t x do
     Domain.cpu_relax ();
     incr i
   done;
-  cond ()
+  cond t x
 
 (* Publish [x] at [tl] and wake the consumer if parked. *)
 let store_and_publish t tl x =
@@ -115,14 +130,11 @@ let store_and_publish t tl x =
 (* Park the producer until the ring has room or the consumer aborted.
    The progress leg is armed only here, on the park path, so the
    common non-blocking push pays nothing for the watchdog. *)
-let wait_not_full t tl =
-  armed t.push_leg @@ fun () ->
+let park_not_full t tl =
   Mutex.lock t.lock;
   Atomic.incr t.stalls;
   Atomic.set t.producer_waiting true;
-  while
-    (not (Atomic.get t.aborted)) && tl - Atomic.get t.head >= t.cap
-  do
+  while full t tl do
     Condition.wait t.not_full t.lock
   done;
   Atomic.set t.producer_waiting false;
@@ -133,12 +145,8 @@ let push t x =
   if Atomic.get t.aborted then Atomic.incr t.drops
   else begin
     let tl = Atomic.get t.tail in
-    if
-      tl - Atomic.get t.head >= t.cap
-      && spin_while (fun () ->
-             (not (Atomic.get t.aborted))
-             && tl - Atomic.get t.head >= t.cap)
-    then wait_not_full t tl;
+    if tl - Atomic.get t.head >= t.cap && spin full t tl then
+      armed t.push_leg park_not_full t tl;
     if Atomic.get t.aborted then Atomic.incr t.drops
     else store_and_publish t tl x
   end
@@ -168,17 +176,12 @@ let abort t =
   signal_locked t t.not_empty
 
 (* Park the consumer until an element arrives or the channel closes.
-   Progress leg armed on the park path only, as in [wait_not_full]. *)
-let wait_not_empty t =
-  armed t.pop_leg @@ fun () ->
+   Progress leg armed on the park path only, as in [park_not_full]. *)
+let park_not_empty t () =
   Mutex.lock t.lock;
   Atomic.incr t.waits;
   Atomic.set t.consumer_waiting true;
-  while
-    Atomic.get t.tail = Atomic.get t.head
-    && (not (Atomic.get t.closed))
-    && not (Atomic.get t.aborted)
-  do
+  while empty t () do
     Condition.wait t.not_empty t.lock
   done;
   Atomic.set t.consumer_waiting false;
@@ -194,29 +197,34 @@ let take t h =
   if Atomic.get t.producer_waiting then signal_locked t t.not_full;
   x
 
-let rec pop t =
+let rec pop_or t ~none =
   let h = Atomic.get t.head in
-  if Atomic.get t.aborted then None
-  else if Atomic.get t.tail - h > 0 then Some (take t h)
+  if Atomic.get t.aborted then none
+  else if Atomic.get t.tail - h > 0 then take t h
   else if Atomic.get t.closed then
     (* a final element may have landed between the emptiness check and
        the closed check *)
-    if Atomic.get t.tail - h > 0 then pop t else None
+    if Atomic.get t.tail - h > 0 then pop_or t ~none else none
   else begin
-    if
-      spin_while (fun () ->
-          Atomic.get t.tail = Atomic.get t.head
-          && (not (Atomic.get t.closed))
-          && not (Atomic.get t.aborted))
-    then wait_not_empty t;
-    pop t
+    if spin empty t () then armed t.pop_leg park_not_empty t ();
+    pop_or t ~none
   end
 
-let try_pop t =
+let try_pop_or t ~none =
   let h = Atomic.get t.head in
-  if Atomic.get t.aborted then None
-  else if Atomic.get t.tail - h > 0 then Some (take t h)
-  else None
+  if Atomic.get t.aborted then none
+  else if Atomic.get t.tail - h > 0 then take t h
+  else none
+
+(* The option-returning forms, over the empty-slot marker (never an
+   element) as the sentinel. *)
+let optional pop_or t =
+  let none = Obj.obj empty_slot in
+  let x = pop_or t ~none in
+  if x == none then None else Some x
+
+let pop t = optional pop_or t
+let try_pop t = optional try_pop_or t
 
 (* Unlike [pop]/[try_pop], ignores the aborted flag: after an abort
    the producer never publishes again (pushes turn into counted

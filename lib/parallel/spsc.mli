@@ -21,7 +21,8 @@
     can never deadlock against a dead helper.
 
     Slots hold elements directly behind a unique sentinel rather than
-    as ['a option], so a push allocates nothing. *)
+    as ['a option], so a push allocates nothing, and neither do
+    {!pop_or}/{!try_pop_or} or a stalled side's spin. *)
 
 type 'a t
 
@@ -94,6 +95,15 @@ val pop : 'a t -> 'a option
     [None] if the channel is momentarily empty (or aborted) — it never
     blocks and does not distinguish empty from closed-and-drained. *)
 val try_pop : 'a t -> 'a option
+
+(** [pop_or t ~none] is {!pop} without the option box: it returns
+    [none] where {!pop} returns [None].  [none] must be a value the
+    producer never pushes (a sentinel), so a steady-state consumer
+    allocates nothing per element. *)
+val pop_or : 'a t -> none:'a -> 'a
+
+(** {!try_pop} without the option box, as {!pop_or}. *)
+val try_pop_or : 'a t -> none:'a -> 'a
 
 (** Consumer gives up: wakes and un-blocks the producer permanently,
     turning pushes into drops.  Used to propagate a helper-side crash

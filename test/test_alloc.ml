@@ -53,9 +53,43 @@ let test_inline_dift () =
              r.P.i_result.P.events)))
     kernels
 
+(* The producer of a two-domain run: the application domain runs the
+   machine and encodes every view into the channel's pooled batches,
+   so apart from setup (machine, engine, the batch pool, the helper
+   spawn) it allocates nothing per instruction or per batch.  The
+   helper's allocations land on its own domain and are not counted.
+   Nothing on this side depends on how the two domains interleave, so
+   two identical runs allocate the same to within 1%. *)
+let producer_kernels = [ (Spec_like.matmul, 32); (Spec_like.poly, 4500) ]
+
+let producer_words (w : Workload.t) size =
+  let input = w.Workload.input ~size ~seed:1 in
+  words_per_instr (fun () ->
+      match P.run_result ~policy:Policy.data_only w.Workload.program ~input with
+      | Ok r -> r.P.result.P.events
+      | Error e -> Alcotest.failf "%s: %a" w.Workload.name P.pp_error e)
+
+let test_producer () =
+  List.iter
+    (fun ((w : Workload.t), size) ->
+      let ((instrs, a) as first) = producer_words w size in
+      let name = Fmt.str "two-domain producer %s" w.Workload.name in
+      Alcotest.(check bool)
+        (Fmt.str "%s: %d instrs >= 300k" name instrs)
+        true (instrs >= 300_000);
+      check_bound "two-domain producer" w first;
+      let _, b = producer_words w size in
+      Alcotest.(check bool)
+        (Fmt.str "%s: %.4f vs %.4f words/instr within 1%%" name a b)
+        true
+        (Float.abs (a -. b) <= 0.01 *. Float.max a b))
+    producer_kernels
+
 let suite =
   [
     Alcotest.test_case "bare VM allocates <= 1 word/instr" `Quick test_bare_vm;
     Alcotest.test_case "inline DIFT allocates <= 1 word/instr" `Quick
       test_inline_dift;
+    Alcotest.test_case "two-domain producer allocates <= 1 word/instr" `Quick
+      test_producer;
   ]

@@ -1,13 +1,14 @@
-(* The de-boxed forwarding plane: the SoA codec must be a lossless
-   wire — encode ∘ decode is the identity on machine-shaped events
-   (compact and explicit descriptors), on events foreign to the
-   interned program (the escape hatch), and through the full channel
-   framing.  Whole-run equivalence: the coded wire, the boxed wire and
-   the producer-side liveness filter all produce bit-identical reports
-   on every kernel, in both runtimes, on both shard routes — and the
-   filter strictly reduces forwarded volume on taint-sparse streams.
-   Plus the codec free ring's [ring.free.*] chaos seam: recycling
-   faults degrade, they never change the answer. *)
+(* The forwarding plane: the SoA codec must be a lossless wire —
+   encode ∘ decode is the identity on machine-shaped events (compact
+   and explicit descriptors), on events foreign to the interned
+   program (the escape hatch), and through the full channel framing.
+   Whole-run equivalence: the channel and the producer-side liveness
+   filter produce reports bit-identical to inline on every kernel, in
+   both runtimes, on both shard routes — and the filter strictly
+   reduces forwarded volume on taint-sparse streams.  Plus the
+   channel's books: the occupancy histogram counts events per batch,
+   and the free ring's [ring.free.*] chaos seam fires once per channel
+   and only degrades recycling, never the answer. *)
 
 open Dift_isa
 open Dift_vm
@@ -189,12 +190,12 @@ let roundtrip_prop =
    with partial final batches, then a synchronous drain. *)
 let roundtrip_channel events =
   let ch =
-    Codec.create ~queue_capacity:64 ~events_per_batch:8 ~table ()
+    Channel.create ~queue_capacity:64 ~batch_size:8 ~table:(lazy table) ()
   in
-  List.iter (Codec.feed ch) events;
-  Codec.close ch;
+  List.iter (Channel.add ch) events;
+  Channel.close ch;
   let out = ref [] in
-  Codec.drain ch ~f:(fun v -> out := Event.view_to_exec v :: !out);
+  Channel.drain ch ~f:(fun v -> out := Event.view_to_exec v :: !out);
   let out = List.rev !out in
   List.length out = List.length events && List.for_all2 exec_eq events out
 
@@ -225,7 +226,7 @@ let test_batch_recycling () =
         (exec_eq e (Event.view_to_exec v)))
     second
 
-(* -- whole-run equivalence: wires, filter, runtimes, routes ----------- *)
+(* -- whole-run equivalence: filter, runtimes, routes ------------------ *)
 
 let same_result name (a : Parallel.result) (b : Parallel.result) =
   check Alcotest.bool
@@ -249,53 +250,38 @@ let same_result name (a : Parallel.result) (b : Parallel.result) =
     (Fmt.str "%s: taint fingerprint" name)
     a.Parallel.taint_fingerprint b.Parallel.taint_fingerprint
 
-(* Every kernel: boxed wire ≡ coded wire ≡ inline, two-domain. *)
-let test_wires_two_domain () =
+(* Every kernel: coded channel ≡ inline, two-domain. *)
+let test_coded_two_domain () =
   List.iter
     (fun (w : Workload.t) ->
       let input = w.Workload.input ~size:14 ~seed:5 in
       let inline = Parallel.run_inline w.Workload.program ~input in
-      List.iter
-        (fun wire ->
-          let r =
-            Parallel.run ~wire ~queue_capacity:8 ~batch_size:16
-              w.Workload.program ~input
-          in
-          same_result
-            (Fmt.str "%s/%a" w.Workload.name Channel.pp_wire wire)
-            inline.Parallel.i_result r.Parallel.result;
-          check Alcotest.bool
-            (Fmt.str "%s: wire reported" w.Workload.name)
-            true
-            (r.Parallel.wire = wire))
-        [ `Boxed; `Coded ])
+      let r =
+        Parallel.run ~queue_capacity:8 ~batch_size:16 w.Workload.program
+          ~input
+      in
+      same_result w.Workload.name inline.Parallel.i_result r.Parallel.result)
     Spec_like.all
 
-(* Every kernel: both wires, both shard routes, sharded runtime. *)
-let test_wires_sharded () =
+(* Every kernel: both shard routes, sharded runtime. *)
+let test_coded_sharded () =
   List.iter
     (fun (w : Workload.t) ->
       let input = w.Workload.input ~size:12 ~seed:9 in
       let inline = Parallel.run_inline w.Workload.program ~input in
       List.iter
-        (fun (route, wire) ->
+        (fun route ->
           let rep =
-            Parallel.run_sharded ~route ~wire ~shards:3 ~queue_capacity:8
+            Parallel.run_sharded ~route ~shards:3 ~queue_capacity:8
               ~batch_size:8 w.Workload.program ~input
           in
           same_result
-            (Fmt.str "%s/%s/%a" w.Workload.name
+            (Fmt.str "%s/%s" w.Workload.name
                (match route with
                | `Request_reply -> "request-reply"
-               | `Broadcast -> "broadcast")
-               Channel.pp_wire wire)
+               | `Broadcast -> "broadcast"))
             inline.Parallel.i_result rep.Parallel.s_result)
-        [
-          (`Request_reply, `Boxed);
-          (`Request_reply, `Coded);
-          (`Broadcast, `Boxed);
-          (`Broadcast, `Coded);
-        ])
+        [ `Request_reply; `Broadcast ])
     Spec_like.all
 
 (* Every kernel: the producer-side liveness filter is invisible in the
@@ -356,7 +342,32 @@ let test_filter_stands_down_under_control () =
     r.Parallel.result;
   check Alcotest.int "filter stood down" 0 r.Parallel.filtered_events
 
-(* -- the codec free ring's chaos seam --------------------------------- *)
+(* -- the channel's books -------------------------------------------- *)
+
+(* Each pushed batch is one observation of its event count: buckets up
+   to the batch size, and the sum is the whole forwarded stream. *)
+let test_batch_occupancy () =
+  let w = Spec_like.crc in
+  let input = w.Workload.input ~size:40 ~seed:1 in
+  let obs = Dift_obs.Registry.create () in
+  let r = Parallel.run ~obs ~batch_size:64 w.Workload.program ~input in
+  let events = r.Parallel.result.Parallel.events in
+  match
+    Dift_obs.Registry.(
+      find (snapshot obs) "parallel.forwarder.batch_occupancy")
+  with
+  | Some (Dift_obs.Registry.Histogram_v { buckets; counts; count; sum }) ->
+      check (Alcotest.list Alcotest.int) "buckets up to the batch size"
+        [ 1; 2; 4; 8; 16; 32; 64 ] buckets;
+      check Alcotest.int "one observation per batch" r.Parallel.batches count;
+      check Alcotest.int "sum = events forwarded" events sum;
+      (* 407 events in six full batches and a trailing one of 23 *)
+      check Alcotest.(pair int int) "crc 40: count, sum" (7, 407) (count, sum);
+      check Alcotest.int "no batch overflows" 0
+        (List.nth counts (List.length buckets))
+  | _ -> Alcotest.fail "parallel.forwarder.batch_occupancy missing"
+
+(* -- the free ring's chaos seam ---------------------------------------- *)
 
 let plan s =
   match Chaos.plan_of_string s with
@@ -364,7 +375,9 @@ let plan s =
   | Error e -> Alcotest.failf "bad test plan %S: %s" s e
 
 (* Recycling faults (drop, abort) only degrade the free ring — the
-   producer falls back to fresh lanes and the answer is unchanged. *)
+   producer falls back to fresh lanes and the answer is unchanged.
+   Each channel has one free ring and one [ring.free.<ns>] chaos
+   instance, so a rule fires exactly once. *)
 let test_free_ring_faults_benign () =
   let w = Spec_like.crc in
   let input = w.Workload.input ~size:12 ~seed:4 in
@@ -378,10 +391,12 @@ let test_free_ring_faults_benign () =
       in
       same_result (Fmt.str "crc under %s" p) inline.Parallel.i_result
         r.Parallel.result;
-      check Alcotest.bool (Fmt.str "%s fired" p) true (Chaos.fired chaos > 0))
+      check Alcotest.int (Fmt.str "%s fired once" p) 1 (Chaos.fired chaos))
     [
       "ring.free.parallel/pop@1=drop";
+      "ring.free.parallel/pop@3=drop";
       "ring.free.parallel/push@1=drop";
+      "ring.free.parallel/push@2=drop";
       "ring.free.parallel/pop@2=abort";
       "ring.free.parallel/push@2=abort";
     ]
@@ -412,16 +427,18 @@ let suite =
   [
     Alcotest.test_case "batch recycling is clean" `Quick
       test_batch_recycling;
-    Alcotest.test_case "boxed ≡ coded ≡ inline (two-domain, all kernels)"
-      `Quick test_wires_two_domain;
-    Alcotest.test_case "boxed ≡ coded ≡ inline (sharded, both routes)"
-      `Quick test_wires_sharded;
+    Alcotest.test_case "coded ≡ inline (two-domain, all kernels)" `Quick
+      test_coded_two_domain;
+    Alcotest.test_case "coded ≡ inline (sharded, both routes)" `Quick
+      test_coded_sharded;
     Alcotest.test_case "forward filter is bit-identical (all kernels)"
       `Quick test_filter_bit_identical;
     Alcotest.test_case "forward filter strictly reduces forwarding" `Quick
       test_filter_reduces_forwarding;
     Alcotest.test_case "forward filter stands down under control taint"
       `Quick test_filter_stands_down_under_control;
+    Alcotest.test_case "batch occupancy counts events" `Quick
+      test_batch_occupancy;
     Alcotest.test_case "free-ring faults are benign" `Quick
       test_free_ring_faults_benign;
     Alcotest.test_case "free-ring raise crashes the producer" `Quick

@@ -7,7 +7,7 @@
    turns any wedged scenario into a hard process abort so a deadlock
    is a loud test failure, not a hung CI job.
 
-   Also the accounting regression tests: [Forwarder.batches] counts
+   Also the accounting regression tests: [Channel.batches] counts
    only delivered batches (post-abort pushes land in
    [dropped_batches]/[dropped_events], so the books reconcile), and
    the Spsc shutdown edges (final element racing close, abort against
@@ -361,39 +361,50 @@ let test_exchange_ring_abort_terminates () =
            (fun (_, e) -> e = Shard_engine.Shard_dead || injected e)
            f.Shard_engine.f_shards)
 
-(* -- forwarder accounting regression ---------------------------------- *)
+(* -- channel accounting regression ------------------------------------ *)
+
+(* A one-event-per-batch channel fed 100 events of [stream_prog], so
+   event and batch books move in lockstep. *)
+let ledger_channel ?obs () =
+  Channel.create ?obs ~queue_capacity:4 ~batch_size:1
+    ~table:(lazy (Site.of_program stream_prog))
+    ()
+
+let feed_100 fwd =
+  try
+    for i = 1 to 100 do
+      Channel.add fwd (ev i Instr.Halt)
+    done;
+    Channel.close fwd
+  with _ -> ()
 
 let test_forwarder_drop_accounting () =
   with_watchdog @@ fun () ->
   (* regression: [batches]/[events] used to count batches pushed after
      an abort even though Spsc dropped them, so the gauges could not
      reconcile.  With batch_size=1: fed = delivered + dropped. *)
-  let fwd = Forwarder.create ~queue_capacity:4 ~batch_size:1 () in
+  let obs = Dift_obs.Registry.create () in
+  let fwd = ledger_channel ~obs () in
   let consumed = Atomic.make 0 in
   let helper =
     Domain.spawn (fun () ->
-        Forwarder.drain fwd ~f:(fun _ ->
+        Channel.drain fwd ~f:(fun _ ->
             (* abandon the stream after the third element *)
             if 3 <= 1 + Atomic.fetch_and_add consumed 1 then
               raise Exit))
   in
-  (try
-     for i = 1 to 100 do
-       Forwarder.add fwd i
-     done;
-     Forwarder.close fwd
-   with _ -> ());
+  feed_100 fwd;
   (match Domain.join helper with
   | () -> Alcotest.fail "helper must die of Exit"
-  | exception Exit -> Forwarder.abort fwd
+  | exception Exit -> Channel.abort fwd
   | exception e -> raise e);
-  check Alcotest.int "all events accepted" 100 (Forwarder.events fwd);
-  check Alcotest.bool "drops counted" true (Forwarder.dropped_batches fwd > 0);
+  check Alcotest.int "all events accepted" 100 (Channel.events fwd);
+  check Alcotest.bool "drops counted" true (Channel.dropped_batches fwd > 0);
   check Alcotest.int "fed = delivered + dropped" 100
-    (Forwarder.batches fwd + Forwarder.dropped_events fwd);
-  check Alcotest.int "dropped gauge = dropped batches"
-    (Forwarder.dropped_batches fwd)
-    (Forwarder.dropped fwd)
+    (Channel.batches fwd + Channel.dropped_events fwd);
+  check Alcotest.bool "dropped gauge = dropped batches" true
+    (Dift_obs.Registry.(find (snapshot obs) "parallel.ring.drops")
+    = Some (Dift_obs.Registry.Gauge_v (Channel.dropped_batches fwd)))
 
 let test_forwarder_crash_ledger () =
   with_watchdog @@ fun () ->
@@ -402,40 +413,35 @@ let test_forwarder_crash_ledger () =
      once — consumed, discarded (the batch in hand plus the post-abort
      sweep of the ring), dropped producer-side, or visibly in flight
      (a push that raced the abort flag itself).  Nothing vanishes. *)
-  let fwd = Forwarder.create ~queue_capacity:4 ~batch_size:1 () in
+  let fwd = ledger_channel () in
   let consumed = Atomic.make 0 in
   let helper =
     Domain.spawn (fun () ->
-        Forwarder.drain fwd ~f:(fun _ ->
+        Channel.drain fwd ~f:(fun _ ->
             if 3 <= 1 + Atomic.fetch_and_add consumed 1 then raise Exit))
   in
-  (try
-     for i = 1 to 100 do
-       Forwarder.add fwd i
-     done;
-     Forwarder.close fwd
-   with _ -> ());
+  feed_100 fwd;
   (match Domain.join helper with
   | () -> Alcotest.fail "helper must die of Exit"
   | exception Exit -> ()
   | exception e -> raise e);
   check Alcotest.int "every event is booked exactly once"
-    (Forwarder.events fwd)
-    (Forwarder.consumed_events fwd
-    + Forwarder.discarded_events fwd
-    + Forwarder.dropped_events fwd
-    + Forwarder.in_flight_batches fwd);
+    (Channel.events fwd)
+    (Channel.consumed_events fwd
+    + Channel.discarded_events fwd
+    + Channel.dropped_events fwd
+    + Channel.in_flight_batches fwd);
   (* f completed twice; its third call raised, so that batch is booked
      as discarded, not consumed *)
   check Alcotest.int "the helper consumed what f completed" 2
-    (Forwarder.consumed_events fwd);
+    (Channel.consumed_events fwd);
   check Alcotest.bool "the crashing batch and the swept ring are discarded"
     true
-    (Forwarder.discarded_batches fwd >= 1);
-  check Alcotest.int "batch ledger closes too" (Forwarder.batches fwd)
-    (Forwarder.consumed_batches fwd
-    + Forwarder.discarded_batches fwd
-    + Forwarder.in_flight_batches fwd)
+    (Channel.discarded_batches fwd >= 1);
+  check Alcotest.int "batch ledger closes too" (Channel.batches fwd)
+    (Channel.consumed_batches fwd
+    + Channel.discarded_batches fwd
+    + Channel.in_flight_batches fwd)
 
 (* -- random-seed sweep: every plan terminates cleanly ------------------ *)
 
