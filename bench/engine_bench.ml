@@ -11,7 +11,9 @@
    - engine: the whole per-event transfer function
      ({!Dift_core.Engine.process} under the security policy) over the
      paged shadow ({!Dift_core.Shadow.Make}) and the hashtable
-     reference ({!Dift_core.Shadow.Make_ref});
+     reference ({!Dift_core.Shadow.Make_ref}); qsort is also replayed
+     under the full policy, so its tainted branches drive the
+     engine's control regions (implicit flow) too;
 
    - shadow: the bare location traffic of the same stream (a [get]
      per read, a [set] per write, sources injected periodically) —
@@ -62,14 +64,14 @@ module Sweep (D : Taint.DOMAIN) = struct
   module SP = Shadow.Make (D)
   module SR = Shadow.Make_ref (D)
 
-  let engine_paged_ns ~reps ~inner program events =
+  let engine_paged_ns ~policy ~reps ~inner program events =
     best_ns ~reps ~inner
-      ~setup:(fun () -> EP.create ~policy:Policy.security program)
+      ~setup:(fun () -> EP.create ~policy program)
       (fun eng -> Array.iter (EP.process eng) events)
 
-  let engine_ref_ns ~reps ~inner program events =
+  let engine_ref_ns ~policy ~reps ~inner program events =
     best_ns ~reps ~inner
-      ~setup:(fun () -> ER.create ~policy:Policy.security program)
+      ~setup:(fun () -> ER.create ~policy program)
       (fun eng -> Array.iter (ER.process eng) events)
 
   (* The bare shadow traffic of the stream: a get per read, a set per
@@ -127,6 +129,7 @@ type level = {
 type row = {
   kernel : string;
   domain : string;
+  policy : string;  (** ["security"], or ["full"] for implicit flow *)
   events : int;
   engine : level;
   shadow : level;
@@ -138,6 +141,9 @@ let speedup l =
 
 let kernels = [ "crc"; "qsort"; "hash"; "matmul" ]
 
+(* kernels also replayed under [Policy.full] *)
+let full_kernels = [ "qsort" ]
+
 let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(target = 100_000) () =
   List.concat_map
     (fun kname ->
@@ -148,38 +154,53 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(target = 100_000) () =
          timed measurement *)
       let inner = max 1 ((target + n - 1) / n) in
       let program = w.Workload.program in
-      let row domain engine shadow =
-        { kernel = kname; domain; events = n * inner; engine; shadow }
-      in
-      [
-        row "bool"
+      let engines policy =
+        let engine paged ref_ =
           {
-            paged_ns = Sweep_bool.engine_paged_ns ~reps ~inner program events;
-            ref_ns = Sweep_bool.engine_ref_ns ~reps ~inner program events;
+            paged_ns = paged ~policy ~reps ~inner program events;
+            ref_ns = ref_ ~policy ~reps ~inner program events;
           }
+        in
+        [
+          engine Sweep_bool.engine_paged_ns Sweep_bool.engine_ref_ns;
+          engine Sweep_pc.engine_paged_ns Sweep_pc.engine_ref_ns;
+          engine Sweep_set.engine_paged_ns Sweep_set.engine_ref_ns;
+        ]
+      in
+      (* the bare shadow traffic does not depend on the policy: measured
+         once and shared by both policies' rows *)
+      let shadows =
+        [
           {
             paged_ns = Sweep_bool.shadow_paged_ns ~reps ~inner events;
             ref_ns = Sweep_bool.shadow_ref_ns ~reps ~inner events;
           };
-        row "pc"
-          {
-            paged_ns = Sweep_pc.engine_paged_ns ~reps ~inner program events;
-            ref_ns = Sweep_pc.engine_ref_ns ~reps ~inner program events;
-          }
           {
             paged_ns = Sweep_pc.shadow_paged_ns ~reps ~inner events;
             ref_ns = Sweep_pc.shadow_ref_ns ~reps ~inner events;
           };
-        row "input-set"
-          {
-            paged_ns = Sweep_set.engine_paged_ns ~reps ~inner program events;
-            ref_ns = Sweep_set.engine_ref_ns ~reps ~inner program events;
-          }
           {
             paged_ns = Sweep_set.shadow_paged_ns ~reps ~inner events;
             ref_ns = Sweep_set.shadow_ref_ns ~reps ~inner events;
           };
-      ])
+        ]
+      in
+      let rows policy_name policy =
+        List.map2
+          (fun (domain, shadow) engine ->
+            {
+              kernel = kname;
+              domain;
+              policy = policy_name;
+              events = n * inner;
+              engine;
+              shadow;
+            })
+          (List.combine [ "bool"; "pc"; "input-set" ] shadows)
+          (engines policy)
+      in
+      rows "security" Policy.security
+      @ if List.mem kname full_kernels then rows "full" Policy.full else [])
     kernels
 
 let ns_per_event row ns = float_of_int ns /. float_of_int (max 1 row.events)
@@ -206,6 +227,7 @@ let json rows =
                  [
                    ("kernel", String r.kernel);
                    ("domain", String r.domain);
+                   ("policy", String r.policy);
                    ("events", Int r.events);
                    ("engine", level_json r r.engine);
                    ("shadow", level_json r r.shadow);
@@ -214,12 +236,12 @@ let json rows =
     ]
 
 let pp_rows ppf rows =
-  Fmt.pf ppf "%-8s %-10s %8s %18s %18s@." "kernel" "domain" "events"
-    "engine paged/ref" "shadow paged/ref";
+  Fmt.pf ppf "%-8s %-10s %-8s %8s %18s %18s@." "kernel" "domain" "policy"
+    "events" "engine paged/ref" "shadow paged/ref";
   List.iter
     (fun r ->
-      Fmt.pf ppf "%-8s %-10s %8d %7.1f/%-7.1fx%4.2f %7.1f/%-7.1fx%4.2f@."
-        r.kernel r.domain r.events
+      Fmt.pf ppf "%-8s %-10s %-8s %8d %7.1f/%-7.1fx%4.2f %7.1f/%-7.1fx%4.2f@."
+        r.kernel r.domain r.policy r.events
         (ns_per_event r r.engine.paged_ns)
         (ns_per_event r r.engine.ref_ns)
         (speedup r.engine)

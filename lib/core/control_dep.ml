@@ -85,8 +85,7 @@ let process t (e : Event.exec) =
         | rs -> rs
       in
       frame.regions <- drop frame.regions;
-      let fname = e.Event.func.Func.name in
-      let close_at = Static_info.ipdom t.static fname e.Event.pc in
+      let close_at = Static_info.ipdom t.static e.Event.func e.Event.pc in
       frame.regions <-
         { branch_step = e.Event.step; branch_pc = e.Event.pc; close_at }
         :: frame.regions

@@ -16,7 +16,19 @@
     comparison), the per-thread control state is cached by tid (no
     hashtable probe per event), and the Bool domain gets a
     short-circuiting monomorphic join selected once at functor
-    application via {!Taint.DOMAIN.as_bool}. *)
+    application via {!Taint.DOMAIN.as_bool}.
+
+    Implicit flow (paper §3, [Policy.propagate_control]): a branch on
+    tainted data opens a control region that closes at the branch's
+    immediate postdominator, and every value written while it is open
+    joins the branch's taint.  Each call frame keeps its open regions
+    in reused arrays, one entry per distinct close pc — a tainted
+    branch whose close pc is already open joins into that entry — with
+    the frame's active control taint cached.  Region depth is thus
+    bounded by the function's distinct postdominators rather than by
+    how often a loop branched on tainted data, reading the control
+    taint is O(1), and opening or closing a region, calling and
+    returning allocate nothing once a thread's frame stack is warm. *)
 
 open Dift_isa
 open Dift_vm
@@ -101,12 +113,25 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
       Sh.set sh arr.(i) v
     done
 
+  (* One activation's open control regions, one entry per distinct
+     close pc.  Merging same-pc regions is exact: they close at the
+     same event, and while they are open only their join is ever read
+     ([join] is commutative, associative and idempotent). *)
   type control_frame = {
-    mutable regions : (int * D.t) list;  (** (close_at_pc, taint) *)
-    base : D.t;  (** control taint inherited through the call *)
+    mutable closes : int array;  (** close pc of each open region *)
+    mutable taints : D.t array;  (** its joined branch taint *)
+    mutable n : int;  (** open regions, [closes.(0 .. n-1)] *)
+    mutable base : D.t;  (** control taint inherited through the call *)
+    mutable active : D.t;  (** [base] joined with [taints.(0 .. n-1)] *)
   }
 
-  type thread_control = { mutable cframes : control_frame list }
+  (* A thread's call stack of control frames, [frames.(0 .. depth)].
+     Frames are reused across calls, so once the stack has reached a
+     depth, calling and returning at that depth allocate nothing. *)
+  type thread_control = {
+    mutable frames : control_frame array;
+    mutable depth : int;  (** index of the current frame *)
+  }
 
   type t = {
     policy : Policy.t;
@@ -147,7 +172,7 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
       scratch = None;
       control = Hashtbl.create 8;
       ctl_tid = min_int;
-      ctl_tc = { cframes = [] };
+      ctl_tc = { frames = [||]; depth = 0 };
       pending_spawn_taint = Hashtbl.create 8;
       charge = ignore;
       tracer = None;
@@ -190,6 +215,15 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
 
   (* -- control-taint bookkeeping (only when policy.propagate_control) - *)
 
+  let new_frame base =
+    {
+      closes = Array.make 4 0;
+      taints = Array.make 4 D.bottom;
+      n = 0;
+      base;
+      active = base;
+    }
+
   let thread_control_slow t tid =
     let tc =
       match Hashtbl.find_opt t.control tid with
@@ -202,7 +236,7 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
                 d
             | None -> D.bottom
           in
-          let tc = { cframes = [ { regions = []; base } ] } in
+          let tc = { frames = [| new_frame base |]; depth = 0 } in
           Hashtbl.replace t.control tid tc;
           tc
     in
@@ -213,31 +247,69 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
   let thread_control t tid =
     if tid = t.ctl_tid then t.ctl_tc else thread_control_slow t tid
 
-  let current_cframe tc =
-    match tc.cframes with
-    | f :: _ -> f
-    | [] ->
-        let f = { regions = []; base = D.bottom } in
-        tc.cframes <- [ f ];
-        f
+  let rec find_close (f : control_frame) pc i =
+    if i >= f.n then -1
+    else if f.closes.(i) = pc then i
+    else find_close f pc (i + 1)
 
-  let rec join_regions acc = function
-    | [] -> acc
-    | (_, d) :: rest -> join_regions (join2 acc d) rest
+  let rec join_taints (f : control_frame) acc i =
+    if i >= f.n then acc else join_taints f (join2 acc f.taints.(i)) (i + 1)
 
-  let control_taint_of_frame f = join_regions f.base f.regions
+  (* Close the region ending at [pc], if one is open: the last entry
+     moves into its slot and [active] is recomputed over the bounded
+     rest. *)
+  let close_region (f : control_frame) pc =
+    let i = find_close f pc 0 in
+    if i >= 0 then begin
+      let last = f.n - 1 in
+      f.closes.(i) <- f.closes.(last);
+      f.taints.(i) <- f.taints.(last);
+      f.taints.(last) <- D.bottom;
+      f.n <- last;
+      f.active <- join_taints f f.base 0
+    end
 
-  (* Region-list maintenance without allocating when nothing closes at
-     this pc (the overwhelmingly common case). *)
-  let rec closes_here pc = function
-    | [] -> false
-    | (close, _) :: rest -> close = pc || closes_here pc rest
+  let open_region (f : control_frame) close d =
+    let i = find_close f close 0 in
+    if i >= 0 then f.taints.(i) <- join2 f.taints.(i) d
+    else begin
+      if f.n = Array.length f.closes then begin
+        let cap = 2 * f.n in
+        let closes = Array.make cap 0 and taints = Array.make cap D.bottom in
+        Array.blit f.closes 0 closes 0 f.n;
+        Array.blit f.taints 0 taints 0 f.n;
+        f.closes <- closes;
+        f.taints <- taints
+      end;
+      f.closes.(f.n) <- close;
+      f.taints.(f.n) <- d;
+      f.n <- f.n + 1
+    end;
+    f.active <- join2 f.active d
 
-  let rec remove_closed pc = function
-    | [] -> []
-    | ((close, _) as r) :: rest ->
-        if close = pc then remove_closed pc rest
-        else r :: remove_closed pc rest
+  let push_frame tc base =
+    let d = tc.depth + 1 in
+    if d = Array.length tc.frames then
+      tc.frames <-
+        Array.init (2 * d) (fun i ->
+            if i < d then tc.frames.(i) else new_frame D.bottom);
+    let f = tc.frames.(d) in
+    f.base <- base;
+    f.active <- base;
+    tc.depth <- d
+
+  (* Leave the current frame, dropping its taints so a reused frame
+     holds nothing from an earlier call; the thread's bottom frame is
+     never popped. *)
+  let pop_frame tc =
+    if tc.depth > 0 then begin
+      let f = tc.frames.(tc.depth) in
+      for i = 0 to f.n - 1 do
+        f.taints.(i) <- D.bottom
+      done;
+      f.n <- 0;
+      tc.depth <- tc.depth - 1
+    end
 
   (* Update control regions for this event and return the active
      control taint. *)
@@ -245,35 +317,34 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
     if not t.policy.Policy.propagate_control then D.bottom
     else begin
       let tc = thread_control t v.Event.v_tid in
-      let f = current_cframe tc in
-      (match f.regions with
-      | [] -> ()
-      | regions ->
-          if closes_here v.Event.v_pc regions then
-            f.regions <- remove_closed v.Event.v_pc regions);
-      let active = control_taint_of_frame f in
+      let f = tc.frames.(tc.depth) in
+      if f.n > 0 then close_region f v.Event.v_pc;
+      let active = f.active in
       (match v.Event.v_instr with
       | Instr.Br (_, _, _) ->
           let cond_taint = joined_reads t v in
-          if not (D.is_bottom cond_taint) then begin
-            let close =
-              Static_info.ipdom t.static v.Event.v_func.Func.name
-                v.Event.v_pc
-            in
-            f.regions <- (close, cond_taint) :: f.regions
-          end
-      | Instr.Call _ | Instr.Icall _ ->
-          tc.cframes <- { regions = []; base = active } :: tc.cframes
-      | Instr.Ret _ -> (
-          match tc.cframes with
-          | _ :: (_ :: _ as rest) -> tc.cframes <- rest
-          | [ _ ] | [] -> ())
+          if not (D.is_bottom cond_taint) then
+            open_region f
+              (Static_info.ipdom t.static v.Event.v_func v.Event.v_pc)
+              cond_taint
+      | Instr.Call _ | Instr.Icall _ -> push_frame tc active
+      | Instr.Ret _ -> pop_frame tc
       | Instr.Sys (Instr.Spawn _) ->
           if not (D.is_bottom active) then
             Hashtbl.replace t.pending_spawn_taint v.Event.v_value active
       | _ -> ());
       active
     end
+
+  let control_depth t ~tid =
+    match Hashtbl.find_opt t.control tid with
+    | None -> 0
+    | Some tc ->
+        let n = ref 0 in
+        for i = 0 to tc.depth do
+          n := !n + tc.frames.(i).n
+        done;
+        !n
 
   (* -- the per-event transfer function --------------------------------- *)
 

@@ -71,6 +71,14 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) : sig
       entry. *)
   val fingerprint : t -> int
 
+  (** Open control regions of thread [tid], summed over its call
+      frames (diagnostics and tests; [0] for an unknown thread or
+      when the policy does not propagate control).  Each frame holds
+      one region per distinct close pc, so this is bounded by the
+      distinct immediate postdominators along the thread's call
+      chain, whatever the input size. *)
+  val control_depth : t -> tid:int -> int
+
   (** The per-event transfer function (exposed for harnesses that
       drive the engine themselves; {!attach} wires it up as a VM
       tool). *)

@@ -13,18 +13,27 @@ type func_info = {
 type t = {
   program : Program.t;
   cache : (string, func_info) Hashtbl.t;
+  mutable last : func_info;
+      (** the function {!ipdom} answered for last: the engine asks at
+          every tainted branch, almost always about the function it
+          asked about before, so a physical-equality test on [Func.t]
+          replaces the hashtable probe by name *)
 }
 
-let create program = { program; cache = Hashtbl.create 16 }
+let analyse func =
+  let cfg = Cfg.build func in
+  { cfg; pd = Postdom.compute cfg; func }
+
+(* [last] before the first query: a function no program contains, so
+   creating an analysis analyses nothing *)
+let no_func = analyse (Func.make ~name:"" ~arity:0 [| Instr.Halt |])
+let create program = { program; cache = Hashtbl.create 16; last = no_func }
 
 let info t fname =
   match Hashtbl.find_opt t.cache fname with
   | Some i -> i
   | None ->
-      let func = Program.find t.program fname in
-      let cfg = Cfg.build func in
-      let pd = Postdom.compute cfg in
-      let i = { cfg; pd; func } in
+      let i = analyse (Program.find t.program fname) in
       Hashtbl.replace t.cache fname i;
       i
 
@@ -32,8 +41,17 @@ let cfg t fname = (info t fname).cfg
 let pd t fname = (info t fname).pd
 let program t = t.program
 
-(** Immediate postdominator of instruction [pc] in [fname]. *)
-let ipdom t fname pc = Postdom.ipdom (pd t fname) pc
+(** Immediate postdominator of instruction [pc] in [func]. *)
+let ipdom t (func : Func.t) pc =
+  let i =
+    if t.last.func == func then t.last
+    else begin
+      let i = info t func.Func.name in
+      t.last <- i;
+      i
+    end
+  in
+  Postdom.ipdom i.pd pc
 
 let defines_reg instr r =
   match Instr.def instr with

@@ -11,9 +11,10 @@ val cfg : t -> string -> Cfg.t
 val pd : t -> string -> Postdom.t
 val program : t -> Program.t
 
-(** Immediate postdominator of instruction [pc] in the named
-    function. *)
-val ipdom : t -> string -> int -> int
+(** Immediate postdominator of instruction [pc] in a function of the
+    program.  Asking about the same function as the previous call
+    costs one physical-equality test and allocates nothing. *)
+val ipdom : t -> Func.t -> int -> int
 
 (** The statically known reaching definition of a register at a use
     site, searching only within the use's own basic block: [Some

@@ -114,22 +114,49 @@ type t = {
   mutable cur_th : thread;
       (** the record of thread [current] once {!schedule} has resolved
           it, so a step needs no lookup in [threads] *)
+  mutable spare_regs : int array array;
+      (** register files of returned activations, [0 .. n_spare-1],
+          reused by the next calls; no activation or checkpoint still
+          refers to them *)
+  mutable n_spare : int;
 }
 
 exception Replay_divergence of string
 
+(* Every activation gets a fresh serial (shadow register locations
+   are keyed by it); only its register file is recycled, zero-filled. *)
 let fresh_activation m func ~ret_dst ~caller =
   let serial = m.next_serial in
   m.next_serial <- serial + 1;
+  let regs =
+    if m.n_spare = 0 then Array.make Reg.count 0
+    else begin
+      m.n_spare <- m.n_spare - 1;
+      let r = m.spare_regs.(m.n_spare) in
+      Array.fill r 0 Reg.count 0;
+      r
+    end
+  in
   {
     serial;
     loc0 = Loc.reg ~frame:serial Reg.r0;
     func;
     pc = 0;
-    regs = Array.make Reg.count 0;
+    regs;
     ret_dst;
     caller;
   }
+
+(* Hand the register file of an activation that has returned, and is
+   referenced by nothing any more, to the next call. *)
+let recycle_regs m regs =
+  if m.n_spare = Array.length m.spare_regs then begin
+    let a = Array.make (max 8 (2 * m.n_spare)) [||] in
+    Array.blit m.spare_regs 0 a 0 m.n_spare;
+    m.spare_regs <- a
+  end;
+  m.spare_regs.(m.n_spare) <- regs;
+  m.n_spare <- m.n_spare + 1
 
 let create ?(config = default_config) program ~input =
   let input =
@@ -192,6 +219,8 @@ let create ?(config = default_config) program ~input =
       step_cost = None;
       view;
       cur_th = main_thread;
+      spare_regs = [||];
+      n_spare = 0;
     }
   in
   m
@@ -550,6 +579,7 @@ let rec exec_instr m th =
           | None -> ());
           let r = commit m act v ~next_pc:act.pc in
           th.act <- caller;
+          recycle_regs m act.regs;
           r)
   | Instr.Halt ->
       let r = commit m act v ~next_pc:act.pc in

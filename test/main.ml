@@ -10,6 +10,7 @@ let () =
       ("cli", Test_cli.suite);
       ("core", Test_core.suite);
       ("shadow-diff", Test_shadow_diff.suite);
+      ("implicit", Test_implicit.suite);
       ("workloads", Test_workloads.suite);
       ("bdd", Test_bdd.suite);
       ("lineage", Test_lineage.suite);

@@ -1,6 +1,7 @@
 (* The allocation claim, checked: the interpreter fills one reused
    event view per instruction, and inline Bool DIFT consumes that view,
-   so neither allocates per step.  [Gc.minor_words] is domain-local on
+   so neither allocates per step, and a returning call hands its
+   register file to the next one.  [Gc.minor_words] is domain-local on
    OCaml 5, so the figure is this domain's alone.  What is left over a
    run is setup (engine, shadow pages, machine) and the logs the
    machine must keep (schedule switches, output), which a long run
@@ -30,6 +31,9 @@ let check_bound what (w : Workload.t) (instrs, per_instr) =
     (Fmt.str "%s: %.3f words/instr <= 1" name per_instr)
     true (per_instr <= 1.0)
 
+(* a call-dense recursive kernel: every call needs a register file *)
+let vm_kernels = kernels @ [ (Spec_like.qsort, 1000) ]
+
 let test_bare_vm () =
   List.iter
     (fun ((w : Workload.t), size) ->
@@ -39,7 +43,7 @@ let test_bare_vm () =
              let m = Machine.create w.Workload.program ~input in
              ignore (Machine.run m);
              Machine.steps m)))
-    kernels
+    vm_kernels
 
 let test_inline_dift () =
   List.iter
@@ -52,6 +56,25 @@ let test_inline_dift () =
              in
              r.P.i_result.P.events)))
     kernels
+
+(* Implicit flow: under [Policy.full] every event also consults the
+   thread's control regions, which live in reused per-frame arrays,
+   so a tainted branch, a region closing, a call and a return
+   allocate nothing once the frame stack is warm. *)
+let implicit_kernels =
+  [ (Spec_like.qsort, 1000); (Spec_like.poly, 1500); (Spec_like.matmul, 20) ]
+
+let test_implicit_dift () =
+  List.iter
+    (fun ((w : Workload.t), size) ->
+      let input = w.Workload.input ~size ~seed:1 in
+      check_bound "implicit-flow DIFT" w
+        (words_per_instr (fun () ->
+             let r =
+               P.run_inline ~policy:Policy.full w.Workload.program ~input
+             in
+             r.P.i_result.P.events)))
+    implicit_kernels
 
 (* The producer of a two-domain run: the application domain runs the
    machine and encodes every view into the channel's pooled batches,
@@ -92,4 +115,6 @@ let suite =
       test_inline_dift;
     Alcotest.test_case "two-domain producer allocates <= 1 word/instr" `Quick
       test_producer;
+    Alcotest.test_case "implicit-flow DIFT allocates <= 1 word/instr" `Quick
+      test_implicit_dift;
   ]
